@@ -17,6 +17,8 @@
      2  usage error
      3  cell failures — some cells kept crashing and were recorded as
         structured failure rows
+     4  --resume refused — the checkpoint belongs to a different
+        campaign; it is left byte-for-byte untouched
 
    [--server] runs the live-server campaign instead: every cell boots
    the multi-worker request server under supervision, strikes one
@@ -28,6 +30,7 @@
      1  findings — a roload cell dropped below the availability floor
         or committed a corrupted payload
      3  cell failures
+     4  --resume refused, as above
 
    [--fail-cell] artificially crashes the cells of one plan index (the
    crash-containment self-test); [--max-cells] stops after N cells to
@@ -36,6 +39,18 @@
 open Cmdliner
 module Campaign = Roload_inject.Campaign
 module Pass = Roload_passes.Pass
+
+(* Both campaign paths refuse to resume another campaign's checkpoint. *)
+let refusing_mismatch f =
+  try f ()
+  with Campaign.Checkpoint_mismatch { path; expected; found } ->
+    Printf.eprintf
+      "roload_chaos: checkpoint %s belongs to a different campaign\n\
+      \  found:    %s\n\
+      \  expected: %s\n\
+       refusing to resume; the checkpoint is unchanged\n"
+      path found expected;
+    exit 4
 
 let run_server_mode seed count schemes jobs json checkpoint resume fail_cell max_cells
     checkpoint_batch requests workers shards max_restarts deadline =
@@ -48,6 +63,7 @@ let run_server_mode seed count schemes jobs json checkpoint resume fail_cell max
           if index = idx then failwith "sabotaged cell (--fail-cell)")
   in
   let report =
+    refusing_mismatch @@ fun () ->
     Campaign.run_server
       {
         Campaign.default_server_config with
@@ -125,6 +141,7 @@ let run seed count schemes jobs json checkpoint resume attempts fail_cell max_ce
             if index = idx then failwith "sabotaged cell (--fail-cell)")
     in
     let report =
+      refusing_mismatch @@ fun () ->
       Campaign.run
         {
           Campaign.default_config with

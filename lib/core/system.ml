@@ -123,18 +123,8 @@ let snapshot_metrics ~machine ~kernel ~mmu =
   }
 
 let run ?(max_instructions = 500_000_000L) ?trace ?tracer ?(profile = false) ?engine
-    ?template ~variant exe =
-  (* [template] is a pristine boot image: forking it is bit-identical to
-     [Machine.create] (the campaign-equivalence suite pins this) but
-     O(touched pages) instead of zeroing 64 MiB of physical memory, so
-     fan-out callers boot once per engine and fork per run.  The image
-     carries its own engine and hot-threshold; [engine] is ignored when a
-     template is supplied. *)
-  let machine =
-    match template with
-    | Some img -> Machine.fork img
-    | None -> Machine.create ?engine (machine_config variant)
-  in
+    ~variant exe =
+  let machine = Machine.create ?engine (machine_config variant) in
   Machine.set_trace machine trace;
   Machine.set_tracer machine tracer;
   Machine.set_profiling machine profile;

@@ -39,20 +39,12 @@ val run :
   ?tracer:Roload_obs.Tracer.t ->
   ?profile:bool ->
   ?engine:Roload_machine.Machine.engine ->
-  ?template:Roload_machine.Machine.image ->
   variant:variant ->
   Roload_obj.Exe.t ->
   measurement
 (** [engine] selects the execution engine for this run (defaults to the
     machine's effective default: [ROLOAD_ENGINE] if set, else the
     process default, which is trace-compiled).
-    [template] seeds the run from a pristine boot image instead of
-    creating a machine from reset: [Machine.fork] of a just-created
-    machine is bit-identical to [Machine.create] but shares all untouched
-    pages copy-on-write, so campaign-style callers (fuzzing, chaos) pay
-    the physical-memory boot once per engine rather than once per run.
-    The image carries its own engine and hot-threshold; [engine] is
-    ignored when [template] is supplied.
     [tracer] attaches the structured event tracer and [profile] enables
     hot-block profiling; neither changes the measurement — cycles,
     statistics and output are bit-identical with both off or on.

@@ -106,30 +106,6 @@ let sabotage_drop_gfpt scheme (m : Ir.modul) =
 let behavior_of_measurement (ms : System.measurement) =
   { Ir_eval.stop = Trapclass.stop_of_status ms.System.status; output = ms.System.output }
 
-(* One pristine boot image per engine, forked for every machine run.
-   Forking a just-created machine is bit-identical to [Machine.create]
-   (the snapshot and campaign-equivalence suites pin this), and CoW page
-   sharing makes each fork O(touched pages), so a fuzz campaign pays the
-   64 MiB physical-memory boot once per engine instead of 18 times per
-   case.  Templates are captured lazily inside [run_source]'s
-   hot-threshold window, so the image (and therefore every fork) carries
-   the fuzz threshold of 1 and still exercises the trace compiler. *)
-let template_lock = Mutex.create ()
-let boot_templates : (Machine.engine, Machine.image) Hashtbl.t = Hashtbl.create 4
-
-let boot_template engine =
-  Mutex.protect template_lock (fun () ->
-      match Hashtbl.find_opt boot_templates engine with
-      | Some img -> img
-      | None ->
-        let img =
-          Machine.snapshot
-            (Machine.create ~engine
-               (System.machine_config System.Processor_kernel_modified))
-        in
-        Hashtbl.add boot_templates engine img;
-        img)
-
 let run_source ?(schemes = schemes_under_test) ?(engines = engines_under_test)
     ?(max_instructions = 50_000_000L) ?(fuel = 200_000) ?(elide = false) ?sabotage
     ~name source =
@@ -173,7 +149,7 @@ let run_source ?(schemes = schemes_under_test) ?(engines = engines_under_test)
                 in
                 let run engine =
                   ( engine,
-                    System.run ~max_instructions ~template:(boot_template engine)
+                    System.run ~max_instructions ~engine
                       ~variant:System.Processor_kernel_modified exe )
                 in
                 let runs = List.map run engines in

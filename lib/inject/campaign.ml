@@ -130,17 +130,9 @@ type report = {
 
 let baseline_budget = 50_000_000L
 
-let run_with_pause ?engine ?(variant = System.Processor_kernel_modified) ?template
+let run_with_pause ?engine ?(variant = System.Processor_kernel_modified)
     ~max_instructions ?pause_at ?inject exe =
-  (* [template]: fork the pristine boot image instead of building a fresh
-     machine — identical state, but the zeroed physical pages are shared
-     CoW across every lineage forked from it, so later memory diffs
-     compare untouched pages by pointer instead of byte-by-byte. *)
-  let machine =
-    match template with
-    | Some img -> Machine.fork img
-    | None -> Machine.create ?engine (System.machine_config variant)
-  in
+  let machine = Machine.create ?engine (System.machine_config variant) in
   let kernel = Kernel.create ~machine ~config:(System.kernel_config variant) in
   let process = Kernel.load kernel exe in
   Kernel.schedule kernel process;
@@ -208,10 +200,8 @@ let compile_victim ?(elide = false) scheme =
 
 (* The baseline keeps its final memory image: silent-corruption verdicts
    are localized by diffing the injected run's final memory against it. *)
-let baseline_run_full ?template exe =
-  let outcome, machine, _, _ =
-    run_with_pause ?template ~max_instructions:baseline_budget exe
-  in
+let baseline_run_full exe =
+  let outcome, machine, _, _ = run_with_pause ~max_instructions:baseline_budget exe in
   (outcome, Phys_mem.snapshot (Machine.mem machine))
 
 let baseline_run exe = fst (baseline_run_full exe)
@@ -296,15 +286,13 @@ let run_one_seeded ?(budget_factor = default_config.budget_factor) ?baseline_mem
    distinct trigger frontiers, capturing a snapshot at each.  Run limits
    are cumulative retire counts, so the parent paused at each frontier
    is bit-identical to a from-reset run paused there. *)
-let build_ladder ?template ~triggers exe =
+let build_ladder ~triggers exe =
   let triggers = List.sort_uniq Int64.compare triggers in
   match triggers with
   | [] -> []
   | _ ->
     let machine =
-      match template with
-      | Some img -> Machine.fork img
-      | None -> Machine.create (System.machine_config System.Processor_kernel_modified)
+      Machine.create (System.machine_config System.Processor_kernel_modified)
     in
     let kernel =
       Kernel.create ~machine
@@ -399,24 +387,57 @@ let with_appender ?(batch = 1) checkpoint f =
     in
     Fun.protect ~finally:(fun () -> locked flush_locked) (fun () -> f append)
 
+(* ---------- resume ---------- *)
+
+exception Checkpoint_mismatch of { path : string; expected : string; found : string }
+
+(* The rows a resumed campaign may skip.  A checkpoint whose header pins
+   a different campaign is refused rather than truncated: treating it as
+   "no prior rows" would silently destroy another campaign's settled
+   cells.  An empty file (killed before its header landed) holds
+   nothing to lose and starts over. *)
+let prior_rows ~resume ~header ~parse checkpoint =
+  match checkpoint with
+  | Some path when resume && Sys.file_exists path -> (
+    match read_lines path with
+    | [] -> []
+    | h :: rest when String.equal h header -> List.filter_map parse rest
+    | found :: _ -> raise (Checkpoint_mismatch { path; expected = header; found }))
+  | _ -> []
+
+(* Start the checkpoint afresh (header only) unless resuming onto rows. *)
+let start_checkpoint ~header ~prior checkpoint =
+  match checkpoint with
+  | Some path when prior = [] ->
+    let oc = open_out path in
+    output_string oc (header ^ "\n");
+    close_out oc
+  | _ -> ()
+
 (* ---------- the campaign ---------- *)
 
 exception Broken_victim of string
 
 let run (cfg : config) =
   let schemes = cfg.schemes in
+  (* checkpoint: a header pinning (seed, count, schemes) plus one TSV
+     row per settled cell, checked before any work so a mismatched
+     --resume fails fast.  [elide=true] is appended only when on, so
+     checkpoints of pre-elision campaigns keep their exact header (and
+     stay resumable). *)
+  let header =
+    Printf.sprintf "# roload-chaos v1 seed=%Ld count=%d schemes=%s%s" cfg.seed cfg.count
+      (String.concat "," (List.map Pass.scheme_name schemes))
+      (if cfg.elide then " elide=true" else "")
+  in
+  let prior = prior_rows ~resume:cfg.resume ~header ~parse:row_of_line cfg.checkpoint in
   (* compile serially: the toolchain owns global state *)
   let exes = List.map (fun s -> (s, compile_victim ~elide:cfg.elide s)) schemes in
-  (* One pristine boot image shared by every baseline and ladder parent:
-     each lineage forks it CoW, so all of them (and every cell forked
-     from the ladders) share the untouched zero pages — making the
-     silent-corruption memory diffs O(touched pages), not O(DRAM). *)
-  let template =
-    Machine.snapshot
-      (Machine.create (System.machine_config System.Processor_kernel_modified))
-  in
+  (* Every machine starts on the shared zero page, so baselines, ladder
+     parents and cells all share their untouched pages and the
+     silent-corruption memory diffs stay O(touched pages), not O(DRAM). *)
   let baselines =
-    Parallel.map ?jobs:cfg.jobs (fun (s, exe) -> (s, baseline_run_full ~template exe)) exes
+    Parallel.map ?jobs:cfg.jobs (fun (s, exe) -> (s, baseline_run_full exe)) exes
   in
   List.iter
     (fun (s, ((b : Kernel.run_outcome), _)) ->
@@ -453,23 +474,6 @@ let run (cfg : config) =
           exes)
       plan
   in
-  (* checkpoint: a header pinning (seed, count, schemes) plus one TSV
-     row per settled cell *)
-  (* [elide=true] is appended only when on, so checkpoints of pre-elision
-     campaigns keep their exact header (and stay resumable) *)
-  let header =
-    Printf.sprintf "# roload-chaos v1 seed=%Ld count=%d schemes=%s%s" cfg.seed cfg.count
-      (String.concat "," (List.map Pass.scheme_name schemes))
-      (if cfg.elide then " elide=true" else "")
-  in
-  let prior =
-    match cfg.checkpoint with
-    | Some path when cfg.resume && Sys.file_exists path -> (
-      match read_lines path with
-      | h :: rest when String.equal h header -> List.filter_map row_of_line rest
-      | _ -> [] (* different campaign (or corrupt): start over *))
-    | _ -> []
-  in
   let done_keys = Hashtbl.create 64 in
   List.iter (fun (r : row) -> Hashtbl.replace done_keys (r.index, r.scheme) ()) prior;
   let todo =
@@ -483,12 +487,7 @@ let run (cfg : config) =
     | Some k -> List.filteri (fun i _ -> i < k) todo
     | None -> todo
   in
-  (match cfg.checkpoint with
-  | Some path when prior = [] ->
-    let oc = open_out path in
-    output_string oc (header ^ "\n");
-    close_out oc
-  | _ -> ());
+  start_checkpoint ~header ~prior cfg.checkpoint;
   let baseline_for s = fst (List.assoc s baselines) in
   let baseline_mem_for s = snd (List.assoc s baselines) in
   (* Silent-corruption rows restored from a checkpoint carry no diff (the
@@ -528,7 +527,7 @@ let run (cfg : config) =
                 else None)
               (todo @ recover)
           in
-          (Pass.scheme_name s, build_ladder ~template ~triggers exe))
+          (Pass.scheme_name s, build_ladder ~triggers exe))
         exes
   in
   let snap_for scheme trigger =
@@ -1039,6 +1038,17 @@ let server_row_of_line line =
 
 let run_server (cfg : server_config) =
   let schemes = cfg.sv_schemes in
+  let header =
+    Printf.sprintf
+      "# roload-chaos-server v1 seed=%Ld count=%d requests=%d workers=%d shards=%d \
+       restarts=%d deadline=%Ld schemes=%s"
+      cfg.sv_seed cfg.sv_count cfg.sv_requests cfg.sv_workers cfg.sv_shards
+      cfg.sv_max_restarts cfg.sv_deadline_cycles
+      (String.concat "," (List.map Pass.scheme_name schemes))
+  in
+  let prior =
+    prior_rows ~resume:cfg.sv_resume ~header ~parse:server_row_of_line cfg.sv_checkpoint
+  in
   let stream =
     Roload_workloads.Server_like.requests ~seed:cfg.sv_seed ~count:cfg.sv_requests
   in
@@ -1127,22 +1137,6 @@ let run_server (cfg : server_config) =
           exes)
       plan
   in
-  let header =
-    Printf.sprintf
-      "# roload-chaos-server v1 seed=%Ld count=%d requests=%d workers=%d shards=%d \
-       restarts=%d deadline=%Ld schemes=%s"
-      cfg.sv_seed cfg.sv_count cfg.sv_requests cfg.sv_workers cfg.sv_shards
-      cfg.sv_max_restarts cfg.sv_deadline_cycles
-      (String.concat "," (List.map Pass.scheme_name schemes))
-  in
-  let prior =
-    match cfg.sv_checkpoint with
-    | Some path when cfg.sv_resume && Sys.file_exists path -> (
-      match read_lines path with
-      | h :: rest when String.equal h header -> List.filter_map server_row_of_line rest
-      | _ -> [])
-    | _ -> []
-  in
   let done_keys = Hashtbl.create 64 in
   List.iter
     (fun (r : server_row) -> Hashtbl.replace done_keys (r.sv_index, r.sv_scheme) ())
@@ -1158,12 +1152,7 @@ let run_server (cfg : server_config) =
     | Some k -> List.filteri (fun i _ -> i < k) todo
     | None -> todo
   in
-  (match cfg.sv_checkpoint with
-  | Some path when prior = [] ->
-    let oc = open_out path in
-    output_string oc (header ^ "\n");
-    close_out oc
-  | _ -> ());
+  start_checkpoint ~header ~prior cfg.sv_checkpoint;
   let todo_arr = Array.of_list todo in
   let row_of idx outcome =
     let (inj : Server_fault.injection), scheme, _ = todo_arr.(idx) in

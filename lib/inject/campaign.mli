@@ -23,7 +23,9 @@ type config = {
   jobs : int option;
   budget_factor : int;  (** watchdog = factor x baseline instructions *)
   checkpoint : string option;  (** incremental persistence file *)
-  resume : bool;  (** skip cells already in the checkpoint *)
+  resume : bool;
+      (** skip cells already in the checkpoint; a checkpoint of a
+          different campaign raises {!Checkpoint_mismatch} *)
   checkpoint_batch : int;
       (** rows buffered per checkpoint flush (1 = historical
           row-at-a-time appends); the tail is flushed on any exit,
@@ -76,12 +78,18 @@ exception Broken_victim of string
 (** The uninjected victim did not behave benignly under some scheme —
     the campaign would be meaningless, so it refuses to start. *)
 
+exception Checkpoint_mismatch of { path : string; expected : string; found : string }
+(** [--resume] pointed at a checkpoint whose header ([found]) pins a
+    different campaign than this one ([expected]).  The campaign refuses
+    to start and leaves the file byte-for-byte untouched. *)
+
 val run : config -> report
+(** Raises {!Broken_victim} (see above) and {!Checkpoint_mismatch}; the
+    latter before any cell or baseline runs. *)
 
 val run_with_pause :
   ?engine:Roload_machine.Machine.engine ->
   ?variant:Core.System.variant ->
-  ?template:Roload_machine.Machine.image ->
   max_instructions:int64 ->
   ?pause_at:int64 ->
   ?inject:
@@ -95,11 +103,7 @@ val run_with_pause :
     instructions (cumulative), call [inject] on the live machine, resume
     to [max_instructions].  Without [pause_at]/[inject] this is a plain
     run — and a paused-and-resumed run without injection is
-    bit-identical (cycles, metrics, output) to an uninterrupted one.
-    [template] forks a pristine boot image instead of creating a fresh
-    machine: identical state, but zeroed pages are shared CoW with every
-    other lineage forked from the same image, keeping cross-lineage
-    memory diffs O(touched pages). *)
+    bit-identical (cycles, metrics, output) to an uninterrupted one. *)
 
 val measure :
   ?engine:Roload_machine.Machine.engine ->
@@ -120,7 +124,6 @@ val compile_victim : ?elide:bool -> Pass.scheme -> Roload_obj.Exe.t
 val baseline_run : Roload_obj.Exe.t -> Roload_kernel.Kernel.run_outcome
 
 val baseline_run_full :
-  ?template:Roload_machine.Machine.image ->
   Roload_obj.Exe.t ->
   Roload_kernel.Kernel.run_outcome * Roload_mem.Phys_mem.image
 (** The baseline outcome plus its final memory image — the reference the
@@ -155,7 +158,6 @@ val run_one_seeded :
     re-executed. *)
 
 val build_ladder :
-  ?template:Roload_machine.Machine.image ->
   triggers:int64 list ->
   Roload_obj.Exe.t ->
   (int64 * Roload_kernel.Snapshot.t) list
@@ -220,7 +222,7 @@ type server_config = {
   sv_deadline_cycles : int64;  (** per-request watchdog; 0 = off *)
   sv_budget_factor : int;  (** cell fuel = factor x baseline instructions *)
   sv_checkpoint : string option;
-  sv_resume : bool;
+  sv_resume : bool;  (** as [resume], for the server campaign *)
   sv_checkpoint_batch : int;
   sv_sabotage : (index:int -> scheme:Pass.scheme -> attempt:int -> unit) option;
   sv_max_cells : int option;
@@ -255,7 +257,8 @@ type server_report = {
 val run_server : server_config -> server_report
 (** Raises {!Broken_victim} when any scheme's uninjected baseline fails
     to serve every request cleanly with zero restarts, or when baseline
-    checksums diverge across schemes. *)
+    checksums diverge across schemes.  Raises {!Checkpoint_mismatch}
+    before any work when resuming another campaign's checkpoint. *)
 
 val availability_table : server_report -> Roload_util.Table.t
 (** The serving-availability table: one row per server injection class,

@@ -243,7 +243,7 @@ let alloc_frame t =
   if t.next_frame >= frames then raise Out_of_frames;
   let f = t.next_frame in
   t.next_frame <- t.next_frame + 1;
-  Phys_mem.fill mem ~addr:(f * Page_table.page_size) ~len:Page_table.page_size '\000';
+  Phys_mem.zero_frame mem f;
   f
 
 (* ---------- loader ---------- *)
@@ -378,11 +378,8 @@ let split_shared_frame t process ~va ~pte ~perms ~key =
   let ppn = Roload_mem.Pte.ppn pte in
   match Hashtbl.find_opt t.frame_refs ppn with
   | Some refs when refs >= 2 ->
-    let mem = Machine.mem t.machine in
-    let ps = Page_table.page_size in
     let fresh = alloc_frame t in
-    Phys_mem.write_string mem ~addr:(fresh * ps)
-      (Phys_mem.read_string mem ~addr:(ppn * ps) ~len:ps);
+    Phys_mem.copy_frame (Machine.mem t.machine) ~src:ppn ~dst:fresh;
     Page_table.map_page (Process.page_table process) ~va ~ppn:fresh ~perms ~user:true ~key;
     if refs = 2 then Hashtbl.remove t.frame_refs ppn
     else Hashtbl.replace t.frame_refs ppn (refs - 1);
@@ -671,14 +668,14 @@ let kill_task t ~pid ~info =
   | _ -> false
 
 (* Fork the parent's address space inside the same physical memory.
-   Writable pages are copied eagerly ("copy on fork" — cheap at these
-   address-space sizes); read-only pages — text, rodata, the GFPT —
+   Writable pages get a fresh frame holding a copy of the parent's
+   ("copy on fork"; [Phys_mem.copy_frame] makes that copy O(1) on the
+   host, deferring the byte copy to the first store); read-only pages — text, rodata, the GFPT —
    share the parent's frame under a reference count, so the PA-keyed
    decode/block caches stay warm across the fork and a later
    mprotect-to-writable knows to split the frame first. *)
 let clone_address_space t parent =
   let mem = Machine.mem t.machine in
-  let ps = Page_table.page_size in
   let parent_pt = Process.page_table parent in
   let page_table = Page_table.create ~mem ~alloc_frame:(fun () -> alloc_frame t) in
   Page_table.iter_mappings parent_pt ~f:(fun ~va ~pte ->
@@ -686,8 +683,7 @@ let clone_address_space t parent =
       let child_ppn =
         if Roload_mem.Pte.writable pte then begin
           let fresh = alloc_frame t in
-          Phys_mem.write_string mem ~addr:(fresh * ps)
-            (Phys_mem.read_string mem ~addr:(ppn * ps) ~len:ps);
+          Phys_mem.copy_frame mem ~src:ppn ~dst:fresh;
           fresh
         end
         else begin

@@ -3,14 +3,21 @@
    address permission enforcement happens above this layer, in the MMU.
 
    Memory is an array of 4 KiB pages plus a per-page ownership byte.  A
-   snapshot freezes the current pages: it keeps a pointer copy of the
+   page this [t] does not own is shared — with a frozen image, with
+   another frame, or with the one immutable zero page — and the first
+   store to it copies that one page and takes ownership (copy-on-write).
+
+   A fresh memory points every page at the shared zero page, owning
+   none, so [create] allocates O(page count) pointers and no page data:
+   a 64 MiB machine costs only the pages it actually dirties.  Zeroing
+   or copying a whole frame is the same trick — re-point the frame, drop
+   ownership — so both are O(1).  A snapshot keeps a pointer copy of the
    page array and clears every ownership byte, so the live memory and
-   the image share pages until the next store to each — the first store
-   to an un-owned page copies that one page (copy-on-write).  Frozen
-   image pages are never written again, which makes an [image] safe to
-   share read-only across domains and makes [fork] O(page-count pointer
-   copies) instead of O(memory size): a forked 64 MiB machine allocates
-   nothing until it actually dirties pages. *)
+   the image share pages until the next store to each.  Frozen image
+   pages (and the zero page) are never written, which makes an [image]
+   safe to share read-only across domains and makes [fork] O(page-count
+   pointer copies) instead of O(memory size).  Pages never leave this
+   module, so nothing outside it can write a shared page. *)
 
 exception Out_of_range of int
 
@@ -26,14 +33,14 @@ type t = {
 
 type image = { i_pages : Bytes.t array; i_size : int }
 
+(* The one page every unwritten frame points at.  Never owned by any
+   [t], so never written: the first store to a zero frame copies it. *)
+let zero_page = Bytes.make page_bytes '\000'
+
 let create ~size =
   if size <= 0 then invalid_arg "Phys_mem.create";
   let npages = (size + page_bytes - 1) / page_bytes in
-  {
-    pages = Array.init npages (fun _ -> Bytes.make page_bytes '\000');
-    owned = Bytes.make npages '\001';
-    size;
-  }
+  { pages = Array.make npages zero_page; owned = Bytes.make npages '\000'; size }
 
 let size t = t.size
 
@@ -47,6 +54,21 @@ let own_page t p =
     Array.unsafe_set t.pages p (Bytes.copy (Array.unsafe_get t.pages p));
     Bytes.unsafe_set t.owned p '\001'
   end
+
+let check_frame t ppn =
+  if ppn < 0 || ppn >= Array.length t.pages then raise (Out_of_range (ppn lsl page_shift))
+
+let zero_frame t ppn =
+  check_frame t ppn;
+  Array.unsafe_set t.pages ppn zero_page;
+  Bytes.unsafe_set t.owned ppn '\000'
+
+let copy_frame t ~src ~dst =
+  check_frame t src;
+  check_frame t dst;
+  Array.unsafe_set t.pages dst (Array.unsafe_get t.pages src);
+  Bytes.unsafe_set t.owned src '\000';
+  Bytes.unsafe_set t.owned dst '\000'
 
 let snapshot t =
   let img = { i_pages = Array.copy t.pages; i_size = t.size } in

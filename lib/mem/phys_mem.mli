@@ -1,5 +1,10 @@
 (** Paged little-endian physical memory with copy-on-write snapshots.
-    Permission enforcement lives in the MMU, above this layer. *)
+    Permission enforcement lives in the MMU, above this layer.
+
+    Pages are allocated lazily: an unwritten page is one shared,
+    immutable zero page, and the first store to any shared page copies
+    it.  Host memory therefore grows with the pages a run dirties, not
+    with the simulated DRAM size. *)
 
 exception Out_of_range of int
 
@@ -14,7 +19,22 @@ type image
     concurrently. *)
 
 val create : size:int -> t
+(** A zero-filled memory of [size] bytes (rounded up to whole pages).
+    Every page starts as the shared zero page, so [create] is
+    O(page count) pointer writes and allocates no page data. *)
+
 val size : t -> int
+
+val zero_frame : t -> int -> unit
+(** [zero_frame t ppn] makes physical page [ppn] all zeros in O(1) by
+    re-pointing it at the shared zero page.  Raises {!Out_of_range} for
+    a page outside the memory. *)
+
+val copy_frame : t -> src:int -> dst:int -> unit
+(** [copy_frame t ~src ~dst] makes page [dst] a copy of page [src] in
+    O(1): both frames share [src]'s page and neither owns it, so the
+    first later store to either copies the page first.  Raises
+    {!Out_of_range} for a page outside the memory. *)
 
 val snapshot : t -> image
 (** Freeze the current contents in O(page count).  The live memory keeps

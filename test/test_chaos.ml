@@ -454,6 +454,43 @@ let test_classic_resume_batched () =
   Alcotest.(check string) "batched resume byte-identical to uninterrupted run"
     (Campaign.to_json fresh) (Campaign.to_json resumed)
 
+(* --resume onto another campaign's checkpoint is refused before any
+   work, and the file is left byte-for-byte as it was: a mismatched
+   header must never be read as "no prior rows" and truncated. *)
+let check_resume_refused ~what ck run =
+  let contents () = In_channel.with_open_bin ck In_channel.input_all in
+  let before = contents () in
+  (match run () with
+  | _ -> Alcotest.failf "%s: resuming another campaign's checkpoint was accepted" what
+  | exception Campaign.Checkpoint_mismatch { path; _ } ->
+    Alcotest.(check string) (what ^ ": error names the checkpoint") ck path);
+  Alcotest.(check string) (what ^ ": checkpoint unchanged") before (contents ());
+  Sys.remove ck
+
+let test_classic_resume_mismatch_refused () =
+  let ck = Filename.temp_file "roload-chaos-mismatch" ".tsv" in
+  let cfg =
+    { small_config with Campaign.seed = 1L; count = 5; checkpoint = Some ck; jobs = None }
+  in
+  ignore (Campaign.run { cfg with Campaign.max_cells = Some 6 });
+  check_resume_refused ~what:"classic" ck (fun () ->
+      Campaign.run { cfg with Campaign.seed = 2L; resume = true })
+
+let test_server_resume_mismatch_refused () =
+  let ck = Filename.temp_file "roload-chaos-server-mismatch" ".tsv" in
+  let cfg =
+    {
+      server_config with
+      Campaign.sv_count = 2;
+      sv_requests = 40;
+      sv_checkpoint = Some ck;
+      sv_jobs = None;
+    }
+  in
+  ignore (Campaign.run_server { cfg with Campaign.sv_max_cells = Some 2 });
+  check_resume_refused ~what:"server" ck (fun () ->
+      Campaign.run_server { cfg with Campaign.sv_seed = 4L; sv_resume = true })
+
 (* Server plans are seeded and prefix-stable. *)
 let test_server_plan_determinism () =
   let a = Plan.build_server ~seed:42L ~count:30 in
@@ -506,6 +543,10 @@ let suite =
       test_server_resume_batched;
     Alcotest.test_case "classic campaign: batched resume is byte-identical" `Slow
       test_classic_resume_batched;
+    Alcotest.test_case "classic campaign: mismatched resume is refused" `Quick
+      test_classic_resume_mismatch_refused;
+    Alcotest.test_case "server campaign: mismatched resume is refused" `Quick
+      test_server_resume_mismatch_refused;
     Alcotest.test_case "server plans are seeded and prefix-stable" `Quick
       test_server_plan_determinism;
   ]

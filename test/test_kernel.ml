@@ -229,9 +229,28 @@ let test_memory_accounting () =
   Alcotest.(check bool) "peak includes stack" true
     (o.Kernel.peak_kib >= Process.stack_pages * 4)
 
+(* Loading a program costs only the pages it touches: creating the
+   kernel and loading the chaos victim copies a handful of pages off the
+   shared zero page, far under 256 KiB of host allocation. *)
+let test_load_allocation () =
+  let exe = Roload_inject.Campaign.compile_victim Roload_passes.Pass.Icall in
+  let machine = Machine.create Config.default in
+  let before = Gc.allocated_bytes () in
+  let kernel =
+    Kernel.create ~machine
+      ~config:(Core.System.kernel_config Core.System.Processor_kernel_modified)
+  in
+  ignore (Kernel.load kernel exe);
+  let bytes = Gc.allocated_bytes () -. before in
+  if bytes >= 262144. then
+    Alcotest.failf "Kernel.create + Kernel.load allocated %.0f KiB (gate: < 256 KiB)"
+      (bytes /. 1024.)
+
 let suite =
   [
     Alcotest.test_case "brk grows the heap" `Quick test_brk;
+    Alcotest.test_case "create + load allocates under 256 KiB" `Quick
+      test_load_allocation;
     Alcotest.test_case "mmap+mprotect with keys" `Quick test_mmap_mprotect_key;
     Alcotest.test_case "wrong key after mprotect" `Quick test_wrong_key_after_mprotect;
     Alcotest.test_case "ld.ro on unsealed page" `Quick test_ldro_unsealed_page;

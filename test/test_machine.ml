@@ -89,6 +89,17 @@ let test_config_rows () =
   Alcotest.(check bool) "roload on by default" true Config.default.Config.roload_processor;
   Alcotest.(check bool) "baseline has no roload" false Config.baseline.Config.roload_processor
 
+(* Boot is O(touched pages): physical memory starts as the shared zero
+   page, so creating a 64 MiB machine allocates page pointers and the
+   cache/TLB models, not 64 MiB of zeroed pages.  Host allocation is
+   deterministic for a given build, unlike wall-clock time or RSS. *)
+let test_boot_allocation () =
+  let before = Gc.allocated_bytes () in
+  ignore (Machine.create Config.default);
+  let bytes = Gc.allocated_bytes () -. before in
+  if bytes >= 1048576. then
+    Alcotest.failf "Machine.create allocated %.0f KiB (gate: < 1 MiB)" (bytes /. 1024.)
+
 let suite =
   [
     Alcotest.test_case "alu golden" `Quick test_alu_golden;
@@ -97,6 +108,7 @@ let suite =
     Alcotest.test_case "x0 hardwired" `Quick test_x0_hardwired;
     Alcotest.test_case "machine needs address space" `Quick test_machine_requires_mmu;
     Alcotest.test_case "config rows" `Quick test_config_rows;
+    Alcotest.test_case "boot allocates under 1 MiB" `Quick test_boot_allocation;
     Seeded.to_alcotest prop_mulhu_small;
     Seeded.to_alcotest prop_div_rem_identity;
     Seeded.to_alcotest prop_mulh_shift_identity;

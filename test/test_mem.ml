@@ -33,6 +33,181 @@ let test_phys_mem () =
   Alcotest.check_raises "oob" (Phys_mem.Out_of_range 65536) (fun () ->
       ignore (Phys_mem.read_u8 mem 65536))
 
+(* The shared zero page is never written: heavy stores into one memory
+   (every page, every access width, whole-frame copies of dirty pages)
+   leave a second fresh memory reading all zeros, and two fresh memories
+   have nothing to diff. *)
+let test_zero_page_shared_immutable () =
+  let size = 8 * Phys_mem.page_bytes in
+  let a = Phys_mem.create ~size in
+  let b = Phys_mem.create ~size in
+  let zeros = String.make size '\000' in
+  Alcotest.(check int) "fresh memories do not differ" 0
+    (List.length (Phys_mem.diff_images (Phys_mem.snapshot a) (Phys_mem.snapshot b)));
+  for p = 0 to 7 do
+    let base = p * Phys_mem.page_bytes in
+    Phys_mem.write_u8 a base 0xAB;
+    Phys_mem.write_u16 a (base + 2) 0xBEEF;
+    Phys_mem.write_u32 a (base + 8) 0x12345678;
+    Phys_mem.write_u64 a (min (size - 8) (base + Phys_mem.page_bytes - 4)) (-1L);
+    Phys_mem.fill a ~addr:(base + 64) ~len:100 'x'
+  done;
+  Phys_mem.copy_frame a ~src:3 ~dst:4;
+  Phys_mem.write_string a ~addr:(4 * Phys_mem.page_bytes) "dirty";
+  Phys_mem.zero_frame a 5;
+  Phys_mem.write_u8 a (5 * Phys_mem.page_bytes) 1;
+  Alcotest.(check bool) "the written memory is not zero" true
+    (Phys_mem.read_string a ~addr:0 ~len:size <> zeros);
+  Alcotest.(check string) "a second fresh memory still reads zeros" zeros
+    (Phys_mem.read_string b ~addr:0 ~len:size);
+  Alcotest.(check string) "a memory created afterwards reads zeros" zeros
+    (Phys_mem.read_string (Phys_mem.create ~size) ~addr:0 ~len:size);
+  Alcotest.check_raises "zero_frame out of range"
+    (Phys_mem.Out_of_range (8 * Phys_mem.page_bytes)) (fun () -> Phys_mem.zero_frame a 8);
+  Alcotest.check_raises "copy_frame out of range"
+    (Phys_mem.Out_of_range (-Phys_mem.page_bytes)) (fun () ->
+      Phys_mem.copy_frame a ~src:(-1) ~dst:0)
+
+(* Model-based property: random operation sequences against a flat
+   [Bytes] reference.  Addresses cluster at page edges so multi-byte
+   stores straddle pages; whole-frame zero/copy, snapshot, restore and
+   fork interleave with the stores, so every copy-on-write path (fresh
+   zero page, frame shared by [copy_frame], page shared with an image)
+   is taken.  After every step the whole memory is read back against the
+   model, and every retained image is diffed against the first one and
+   checked against the model's page-level diff. *)
+let prop_phys_mem_model =
+  let pages = 6 in
+  let pb = Phys_mem.page_bytes in
+  let size = pages * pb in
+  let open QCheck.Gen in
+  let addr w =
+    map2
+      (fun p off -> min (size - w) ((p * pb) + off))
+      (int_bound (pages - 1))
+      (oneof [ int_bound 9; map (fun d -> pb - 1 - d) (int_bound 9); int_bound (pb - 1) ])
+  in
+  let op =
+    frequency
+      [
+        (3, map2 (fun a v -> `W8 (a, v)) (addr 1) (int_bound 255));
+        (3, map2 (fun a v -> `W16 (a, v)) (addr 2) (int_bound 0xFFFF));
+        (3, map2 (fun a v -> `W32 (a, v)) (addr 4) (int_bound 0x3FFFFFFF));
+        (3, map2 (fun a v -> `W64 (a, Int64.of_int v)) (addr 8) int);
+        ( 2,
+          int_range 1 (pb + 40) >>= fun len ->
+          map2 (fun a c -> `Str (a, String.make len c)) (addr len) printable );
+        ( 2,
+          int_range 0 (2 * pb) >>= fun len ->
+          map2 (fun a c -> `Fill (a, len, c)) (addr len) char );
+        (2, map2 (fun a b -> `Flip (a, b)) (addr 8) (int_bound 63));
+        (2, map (fun p -> `Zero p) (int_bound (pages - 1)));
+        (2, map2 (fun s d -> `Copy (s, d)) (int_bound (pages - 1)) (int_bound (pages - 1)));
+        (1, return `Snapshot);
+        (1, map (fun i -> `Restore i) nat);
+        (1, map (fun i -> `Fork i) nat);
+      ]
+  in
+  let print_op = function
+    | `W8 (a, v) -> Printf.sprintf "w8 %#x %#x" a v
+    | `W16 (a, v) -> Printf.sprintf "w16 %#x %#x" a v
+    | `W32 (a, v) -> Printf.sprintf "w32 %#x %#x" a v
+    | `W64 (a, v) -> Printf.sprintf "w64 %#x %#Lx" a v
+    | `Str (a, s) -> Printf.sprintf "str %#x len %d" a (String.length s)
+    | `Fill (a, n, c) -> Printf.sprintf "fill %#x len %d %C" a n c
+    | `Flip (a, b) -> Printf.sprintf "flip %#x bit %d" a b
+    | `Zero p -> Printf.sprintf "zero %d" p
+    | `Copy (s, d) -> Printf.sprintf "copy %d->%d" s d
+    | `Snapshot -> "snapshot"
+    | `Restore i -> Printf.sprintf "restore %d" i
+    | `Fork i -> Printf.sprintf "fork %d" i
+  in
+  let arb =
+    QCheck.make
+      ~print:(fun ops -> String.concat "; " (List.map print_op ops))
+      (list_size (int_range 1 40) op)
+  in
+  (* the model's page-level diff, in [diff_images]'s format *)
+  let model_diff a b =
+    List.filter_map
+      (fun p ->
+        let rec first off =
+          if off = pb then None
+          else if Bytes.get a ((p * pb) + off) <> Bytes.get b ((p * pb) + off) then
+            Some off
+          else first (off + 1)
+        in
+        Option.map
+          (fun off ->
+            let addr = (p * pb) + off in
+            {
+              Phys_mem.page = p;
+              addr;
+              a_byte = Char.code (Bytes.get a addr);
+              b_byte = Char.code (Bytes.get b addr);
+            })
+          (first 0))
+      (List.init pages Fun.id)
+  in
+  QCheck.Test.make ~count:200 ~name:"Phys_mem = flat Bytes model (CoW, zero page, frames)"
+    arb (fun ops ->
+      let mem = ref (Phys_mem.create ~size) in
+      let model = ref (Bytes.make size '\000') in
+      (* (image, model at capture), oldest first; the first is pristine *)
+      let images = ref [ (Phys_mem.snapshot !mem, Bytes.copy !model) ] in
+      let pick i = List.nth !images (i mod List.length !images) in
+      let set_le addr width v =
+        for k = 0 to width - 1 do
+          Bytes.set !model (addr + k)
+            (Char.chr (Int64.to_int (Int64.shift_right_logical v (8 * k)) land 0xFF))
+        done
+      in
+      let step = function
+        | `W8 (a, v) -> Phys_mem.write_u8 !mem a v; set_le a 1 (Int64.of_int v)
+        | `W16 (a, v) -> Phys_mem.write_u16 !mem a v; set_le a 2 (Int64.of_int v)
+        | `W32 (a, v) -> Phys_mem.write_u32 !mem a v; set_le a 4 (Int64.of_int v)
+        | `W64 (a, v) -> Phys_mem.write_u64 !mem a v; set_le a 8 v
+        | `Str (a, s) ->
+          Phys_mem.write_string !mem ~addr:a s;
+          Bytes.blit_string s 0 !model a (String.length s)
+        | `Fill (a, n, c) ->
+          Phys_mem.fill !mem ~addr:a ~len:n c;
+          Bytes.fill !model a n c
+        | `Flip (a, b) ->
+          Phys_mem.flip_bit !mem ~addr:a ~bit:b;
+          set_le a 8 (Int64.logxor (Bytes.get_int64_le !model a) (Int64.shift_left 1L b))
+        | `Zero p ->
+          Phys_mem.zero_frame !mem p;
+          Bytes.fill !model (p * pb) pb '\000'
+        | `Copy (s, d) ->
+          Phys_mem.copy_frame !mem ~src:s ~dst:d;
+          Bytes.blit !model (s * pb) !model (d * pb) pb
+        | `Snapshot -> images := !images @ [ (Phys_mem.snapshot !mem, Bytes.copy !model) ]
+        | `Restore i ->
+          let img, m = pick i in
+          Phys_mem.restore !mem img;
+          model := Bytes.copy m
+        | `Fork i ->
+          let img, m = pick i in
+          mem := Phys_mem.fork img;
+          model := Bytes.copy m
+      in
+      let consistent () =
+        Phys_mem.read_string !mem ~addr:0 ~len:size = Bytes.to_string !model
+        && List.for_all
+             (fun a ->
+               Phys_mem.read_u64 !mem a = Bytes.get_int64_le !model a
+               && Phys_mem.read_u32 !mem a = Int32.to_int (Bytes.get_int32_le !model a) land 0xFFFFFFFF
+               && Phys_mem.read_u16 !mem a = Bytes.get_uint16_le !model a)
+             [ 0; pb - 3; pb - 1; (2 * pb) - 6; size - 8 ]
+        &&
+        let base, base_model = List.hd !images in
+        List.for_all
+          (fun (img, m) -> Phys_mem.diff_images base img = model_diff base_model m)
+          !images
+      in
+      List.for_all (fun o -> step o; consistent ()) ops)
+
 let test_pte_fields () =
   let pte = Pte.make ~ppn:0x1234 ~perms:Perm.ro ~user:true ~key:777 in
   Alcotest.(check bool) "valid" true (Pte.valid pte);
@@ -301,6 +476,9 @@ let prop_tlb_rehit_exact_accounting =
 let suite =
   [
     Alcotest.test_case "physical memory" `Quick test_phys_mem;
+    Alcotest.test_case "shared zero page is never written" `Quick
+      test_zero_page_shared_immutable;
+    Seeded.to_alcotest prop_phys_mem_model;
     Alcotest.test_case "pte fields" `Quick test_pte_fields;
     Alcotest.test_case "pte key position (top 10 bits)" `Quick test_pte_key_position;
     Alcotest.test_case "sv39 walk/map/unmap" `Quick test_walk_and_map;
