@@ -476,9 +476,6 @@ let prop_tlb_rehit_exact_accounting =
 let suite =
   [
     Alcotest.test_case "physical memory" `Quick test_phys_mem;
-    Alcotest.test_case "shared zero page is never written" `Quick
-      test_zero_page_shared_immutable;
-    Seeded.to_alcotest prop_phys_mem_model;
     Alcotest.test_case "pte fields" `Quick test_pte_fields;
     Alcotest.test_case "pte key position (top 10 bits)" `Quick test_pte_key_position;
     Alcotest.test_case "sv39 walk/map/unmap" `Quick test_walk_and_map;
@@ -491,4 +488,7 @@ let suite =
     Seeded.to_alcotest prop_pte_roundtrip;
     Seeded.to_alcotest prop_tlb_walk_agree;
     Seeded.to_alcotest prop_tlb_rehit_exact_accounting;
+    Alcotest.test_case "shared zero page is never written" `Quick
+      test_zero_page_shared_immutable;
+    Seeded.to_alcotest prop_phys_mem_model;
   ]
