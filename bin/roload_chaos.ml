@@ -14,7 +14,8 @@
         ROLoad schemes, no cell failures
      1  findings — silent corruption or undetected tampering under a
         ROLoad scheme (or a replayed reproducer's verdict changed)
-     2  usage error
+     2  usage error (including --elide, --from-reset or --diff-pages
+        given with --server, which has no use for them)
      3  cell failures — some cells kept crashing and were recorded as
         structured failure rows
      4  --resume refused — the checkpoint belongs to a different
@@ -29,6 +30,7 @@
         zero corrupted payloads, no cell failures
      1  findings — a roload cell dropped below the availability floor
         or committed a corrupted payload
+     2  usage error, as above
      3  cell failures
      4  --resume refused, as above
 
@@ -52,50 +54,6 @@ let refusing_mismatch f =
       path found expected;
     exit 4
 
-let run_server_mode seed count schemes jobs json checkpoint resume fail_cell max_cells
-    checkpoint_batch requests workers shards max_restarts deadline =
-  let sabotage =
-    match fail_cell with
-    | None -> None
-    | Some idx ->
-      Some
-        (fun ~index ~scheme:_ ~attempt:_ ->
-          if index = idx then failwith "sabotaged cell (--fail-cell)")
-  in
-  let report =
-    refusing_mismatch @@ fun () ->
-    Campaign.run_server
-      {
-        Campaign.default_server_config with
-        Campaign.sv_seed = seed;
-        sv_count = count;
-        sv_requests = requests;
-        sv_workers = workers;
-        sv_shards = shards;
-        sv_schemes = schemes;
-        sv_jobs = jobs;
-        sv_max_restarts = max_restarts;
-        sv_deadline_cycles = deadline;
-        sv_checkpoint = checkpoint;
-        sv_resume = resume;
-        sv_checkpoint_batch = checkpoint_batch;
-        sv_sabotage = sabotage;
-        sv_max_cells = max_cells;
-      }
-  in
-  print_string (Campaign.render_server report);
-  (match json with
-  | None -> ()
-  | Some path ->
-    let oc = open_out path in
-    output_string oc (Campaign.server_to_json report);
-    close_out oc;
-    Printf.printf "report written to %s\n" path);
-  let g = Campaign.server_gate report in
-  if g.Campaign.sg_cell_failures > 0 then exit 3
-  else if g.Campaign.sg_low_availability > 0 || g.Campaign.sg_corrupted_under_roload > 0
-  then exit 1
-
 let run seed count schemes jobs json checkpoint resume attempts fail_cell max_cells
     replay elide from_reset diff_pages server requests workers shards max_restarts
     deadline checkpoint_batch =
@@ -115,6 +73,14 @@ let run seed count schemes jobs json checkpoint resume attempts fail_cell max_ce
       checks;
     if bad <> [] then exit 1
   | None ->
+    if server then
+      List.iter
+        (fun (set, flag) ->
+          if set then begin
+            Printf.eprintf "roload_chaos: %s does not apply to --server\n" flag;
+            exit 2
+          end)
+        [ (elide, "--elide"); (from_reset, "--from-reset"); (diff_pages, "--diff-pages") ];
     let schemes =
       match schemes with
       | [] -> Campaign.default_schemes
@@ -128,51 +94,77 @@ let run seed count schemes jobs json checkpoint resume attempts fail_cell max_ce
               exit 2)
           names
     in
-    if server then
-      run_server_mode seed count schemes jobs json checkpoint resume fail_cell
-        max_cells checkpoint_batch requests workers shards max_restarts deadline
-    else begin
     let sabotage =
-      match fail_cell with
-      | None -> None
-      | Some idx ->
-        Some
-          (fun ~index ~scheme:_ ~attempt:_ ->
-            if index = idx then failwith "sabotaged cell (--fail-cell)")
+      Option.map
+        (fun idx ~index ~scheme:_ ~attempt:_ ->
+          if index = idx then failwith "sabotaged cell (--fail-cell)")
+        fail_cell
     in
-    let report =
+    (* each mode yields its rendered report, JSON, and gate verdicts
+       (cell failures, findings) *)
+    let text, report_json, failures, findings =
       refusing_mismatch @@ fun () ->
-      Campaign.run
-        {
-          Campaign.default_config with
-          Campaign.seed;
-          count;
-          schemes;
-          jobs;
-          attempts;
-          checkpoint;
-          resume;
-          checkpoint_batch;
-          sabotage;
-          max_cells;
-          elide;
-          from_reset;
-        }
+      if server then
+        let rp =
+          Campaign.run_server
+            {
+              Campaign.default_server_config with
+              Campaign.sv_seed = seed;
+              sv_count = count;
+              sv_requests = requests;
+              sv_workers = workers;
+              sv_shards = shards;
+              sv_schemes = schemes;
+              sv_attempts = attempts;
+              sv_jobs = jobs;
+              sv_max_restarts = max_restarts;
+              sv_deadline_cycles = deadline;
+              sv_checkpoint = checkpoint;
+              sv_resume = resume;
+              sv_checkpoint_batch = checkpoint_batch;
+              sv_sabotage = sabotage;
+              sv_max_cells = max_cells;
+            }
+        in
+        let g = Campaign.server_gate rp in
+        ( Campaign.render_server rp,
+          lazy (Campaign.server_to_json rp),
+          g.Campaign.sg_cell_failures > 0,
+          g.Campaign.sg_low_availability > 0 || g.Campaign.sg_corrupted_under_roload > 0 )
+      else
+        let rp =
+          Campaign.run
+            {
+              Campaign.default_config with
+              Campaign.seed;
+              count;
+              schemes;
+              jobs;
+              attempts;
+              checkpoint;
+              resume;
+              checkpoint_batch;
+              sabotage;
+              max_cells;
+              elide;
+              from_reset;
+            }
+        in
+        let g = Campaign.gate rp in
+        ( (Campaign.render rp ^ if diff_pages then Campaign.render_diffs rp else ""),
+          lazy (Campaign.to_json rp),
+          g.Campaign.cell_failures > 0,
+          g.Campaign.silent_under_roload > 0 || g.Campaign.undetected_tamper > 0 )
     in
-    print_string (Campaign.render report);
-    if diff_pages then print_string (Campaign.render_diffs report);
+    print_string text;
     (match json with
     | None -> ()
     | Some path ->
       let oc = open_out path in
-      output_string oc (Campaign.to_json report);
+      output_string oc (Lazy.force report_json);
       close_out oc;
       Printf.printf "report written to %s\n" path);
-    let g = Campaign.gate report in
-    if g.Campaign.cell_failures > 0 then exit 3
-    else if g.Campaign.silent_under_roload > 0 || g.Campaign.undetected_tamper > 0 then
-      exit 1
-    end
+    if failures then exit 3 else if findings then exit 1
 
 let seed_arg =
   Arg.(value & opt int64 1L & info [ "seed" ] ~doc:"Campaign plan seed (deterministic).")

@@ -122,16 +122,10 @@ let snapshot_metrics ~machine ~kernel ~mmu =
     traces_compiled = Machine.traces_compiled machine;
   }
 
-let run ?(max_instructions = 500_000_000L) ?trace ?tracer ?(profile = false) ?engine
-    ~variant exe =
-  let machine = Machine.create ?engine (machine_config variant) in
-  Machine.set_trace machine trace;
-  Machine.set_tracer machine tracer;
-  Machine.set_profiling machine profile;
-  let kernel = Kernel.create ~machine ~config:(kernel_config variant) in
-  let process, outcome =
-    Kernel.exec ~limit:{ Kernel.max_instructions } kernel exe
-  in
+(* The measurement of a finished run: [outcome] for the root [process],
+   plus the machine-wide cache/TLB/metrics state.  Bumps the global
+   simulated-instruction counter. *)
+let measurement ~machine ~kernel ~process ~profile exe (outcome : Kernel.run_outcome) =
   let h = Machine.hierarchy machine in
   let mmu = Process.mmu process in
   let image_bytes =
@@ -159,8 +153,21 @@ let run ?(max_instructions = 500_000_000L) ?trace ?tracer ?(profile = false) ?en
     dtlb = stats_of_tlb (Mmu.dtlb mmu);
     roloads_executed = (Machine.counts machine).Machine.roloads;
     metrics = snapshot_metrics ~machine ~kernel ~mmu;
-    profile = Machine.profile_blocks machine;
+    profile;
   }
+
+let run ?(max_instructions = 500_000_000L) ?trace ?tracer ?(profile = false) ?engine
+    ~variant exe =
+  let machine = Machine.create ?engine (machine_config variant) in
+  Machine.set_trace machine trace;
+  Machine.set_tracer machine tracer;
+  Machine.set_profiling machine profile;
+  let kernel = Kernel.create ~machine ~config:(kernel_config variant) in
+  let process, outcome =
+    Kernel.exec ~limit:{ Kernel.max_instructions } kernel exe
+  in
+  measurement ~machine ~kernel ~process ~profile:(Machine.profile_blocks machine) exe
+    outcome
 
 (* ---- the request-serving macro-benchmark ---- *)
 
@@ -192,37 +199,7 @@ let run_server ?(max_instructions = 2_000_000_000L) ?time_slice ?tracer ?engine 
   let process, outcome =
     Kernel.exec_all ~limit:{ Kernel.max_instructions } ?time_slice kernel exe
   in
-  let h = Machine.hierarchy machine in
-  let mmu = Process.mmu process in
-  let image_bytes =
-    List.fold_left
-      (fun acc (s : Roload_obj.Exe.segment) -> acc + s.Roload_obj.Exe.mem_size)
-      0 exe.Roload_obj.Exe.segments
-  in
-  let footprint_bytes =
-    image_bytes + Process.heap_bytes process
-    + (Process.stack_pages * Roload_mem.Page_table.page_size)
-  in
-  ignore
-    (Atomic.fetch_and_add instructions_simulated
-       (Int64.to_int outcome.Kernel.instructions));
-  let measurement =
-    {
-      status = outcome.Kernel.status;
-      cycles = outcome.Kernel.cycles;
-      instructions = outcome.Kernel.instructions;
-      peak_kib = outcome.Kernel.peak_kib;
-      footprint_bytes;
-      output = outcome.Kernel.output;
-      icache = stats_of_cache (Roload_cache.Hierarchy.icache h);
-      dcache = stats_of_cache (Roload_cache.Hierarchy.dcache h);
-      itlb = stats_of_tlb (Mmu.itlb mmu);
-      dtlb = stats_of_tlb (Mmu.dtlb mmu);
-      roloads_executed = (Machine.counts machine).Machine.roloads;
-      metrics = snapshot_metrics ~machine ~kernel ~mmu;
-      profile = [];
-    }
-  in
+  let measurement = measurement ~machine ~kernel ~process ~profile:[] exe outcome in
   let stats =
     {
       served = Kernel.requests_served kernel;

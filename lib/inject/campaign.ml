@@ -20,14 +20,16 @@
    page-level diff against the baseline's final memory (the
    differential-state localizer), identical in both modes.
 
-   Robustness (tentpole part 2): every cell runs behind
+   Both this campaign and the live-server campaign below run on one
+   cell-campaign harness ([run_cells]): every cell runs behind
    [Experiments.run_cells_contained] — a crashing cell is retried a
    bounded, deterministic number of times and then becomes a structured
    failure row instead of aborting the campaign.  Rows are appended to a
    checkpoint file the moment each cell settles, and [resume = true]
    skips cells already recorded there; the final report is sorted by
    (plan index, scheme), so a resumed run renders byte-identically to an
-   uninterrupted one. *)
+   uninterrupted one.  Each campaign supplies only its plan, baselines,
+   cell function and rendering. *)
 
 module Pass = Roload_passes.Pass
 module Exe = Roload_obj.Exe
@@ -414,6 +416,74 @@ let start_checkpoint ~header ~prior checkpoint =
     close_out oc
   | _ -> ()
 
+(* ---------- the cell-campaign harness ----------
+
+   Both campaigns are a plan x schemes grid of independent cells, each
+   settled cell persisted as one checkpoint row.  [run_cells] is
+   everything except the experiment: resume, containment, checkpointing
+   and the merge.  A mismatched checkpoint is refused before [setup]
+   does any work (compiling, baselines).  [arm] sees only the cells that
+   will run, fresh or re-run, so the classic campaign's snapshot ladders
+   stop at the frontiers those need.  Prior rows that [rerun] selects are settled
+   again at attempt 1, after the fresh cells, for results the checkpoint
+   does not persist.  Rows come back sorted by (plan index, scheme
+   position), so a resumed campaign renders byte-identically to an
+   uninterrupted one; the fresh then re-run cell results come with
+   them. *)
+
+let cell_order schemes =
+  let pos = List.mapi (fun i s -> (Pass.scheme_name s, i)) schemes in
+  let pos n = match List.assoc_opt n pos with Some i -> i | None -> max_int in
+  fun (ia, sa) (ib, sb) -> compare (ia, pos sa) (ib, pos sb)
+
+let run_cells ~header ~checkpoint ~resume ~batch ~attempts ~jobs ~max_cells ~sabotage
+    ~to_line ~of_line ~key ~index ~applicable ~row ~failed ~rerun ~setup ~arm =
+  let prior = prior_rows ~resume ~header ~parse:of_line checkpoint in
+  let ctx, plan, exes = setup () in
+  let cells =
+    List.concat_map
+      (fun inj ->
+        List.filter_map
+          (fun (s, exe) -> if applicable s inj then Some (inj, s, exe) else None)
+          exes)
+      plan
+  in
+  let cell_key (inj, s, _) = (index inj, Pass.scheme_name s) in
+  let done_keys = Hashtbl.create 64 in
+  List.iter (fun r -> Hashtbl.replace done_keys (key r) ()) prior;
+  let todo = List.filter (fun c -> not (Hashtbl.mem done_keys (cell_key c))) cells in
+  let todo =
+    match max_cells with Some k -> List.filteri (fun i _ -> i < k) todo | None -> todo
+  in
+  start_checkpoint ~header ~prior checkpoint;
+  let redo =
+    let by_key = Hashtbl.create 64 in
+    List.iter (fun c -> Hashtbl.replace by_key (cell_key c) c) cells;
+    List.filter_map
+      (fun r -> if rerun r then Hashtbl.find_opt by_key (key r) else None)
+      prior
+  in
+  let cell = arm ctx (todo @ redo) in
+  let todo_arr = Array.of_list todo in
+  let out_of idx = function
+    | Experiments.Cell_ok o -> o
+    | Experiments.Cell_failed { error; attempts } ->
+      failed todo_arr.(idx) ~attempts ~error:(sanitize error)
+  in
+  let outcomes =
+    with_appender ~batch checkpoint @@ fun append_row ->
+    Experiments.run_cells_contained ~attempts ?jobs
+      ~on_cell:(fun idx o -> append_row (to_line (row (out_of idx o))))
+      ~f:(fun ~attempt ((inj, scheme, _) as c) ->
+        Option.iter (fun f -> f ~index:(index inj) ~scheme ~attempt) sabotage;
+        cell ~attempt c)
+      todo
+  in
+  let fresh = List.mapi out_of outcomes in
+  let order = cell_order (List.map fst exes) in
+  let rows = List.sort (fun a b -> order (key a) (key b)) (prior @ List.map row fresh) in
+  (ctx, rows, fresh @ List.map (cell ~attempt:1) redo)
+
 (* ---------- the campaign ---------- *)
 
 exception Broken_victim of string
@@ -421,8 +491,7 @@ exception Broken_victim of string
 let run (cfg : config) =
   let schemes = cfg.schemes in
   (* checkpoint: a header pinning (seed, count, schemes) plus one TSV
-     row per settled cell, checked before any work so a mismatched
-     --resume fails fast.  [elide=true] is appended only when on, so
+     row per settled cell.  [elide=true] is appended only when on, so
      checkpoints of pre-elision campaigns keep their exact header (and
      stay resumable). *)
   let header =
@@ -430,187 +499,112 @@ let run (cfg : config) =
       (String.concat "," (List.map Pass.scheme_name schemes))
       (if cfg.elide then " elide=true" else "")
   in
-  let prior = prior_rows ~resume:cfg.resume ~header ~parse:row_of_line cfg.checkpoint in
-  (* compile serially: the toolchain owns global state *)
-  let exes = List.map (fun s -> (s, compile_victim ~elide:cfg.elide s)) schemes in
-  (* Every machine starts on the shared zero page, so baselines, ladder
-     parents and cells all share their untouched pages and the
-     silent-corruption memory diffs stay O(touched pages), not O(DRAM). *)
-  let baselines =
-    Parallel.map ?jobs:cfg.jobs (fun (s, exe) -> (s, baseline_run_full exe)) exes
-  in
-  List.iter
-    (fun (s, ((b : Kernel.run_outcome), _)) ->
-      match b.Kernel.status with
-      | Process.Exited 0 when String.equal b.Kernel.output Chaos_victim.benign_output ->
-        ()
-      | st ->
-        raise
-          (Broken_victim
-             (Printf.sprintf "chaos victim broken under %s: %s, output %S"
-                (Pass.scheme_name s) (status_str st) b.Kernel.output)))
-    baselines;
-  (* cross-check the baselines against the reference IR oracle — the
-     differential machinery roload-fuzz already trusts *)
-  let oracle_checked, oracle_agreed =
-    match Diff.oracle_behaviors ~schemes Chaos_victim.source with
-    | preds ->
-      let ok =
-        List.for_all2
-          (fun (_, (b : Ir_eval.behavior)) (_, ((o : Kernel.run_outcome), _)) ->
-            Trapclass.stop_equal b.Ir_eval.stop (Trapclass.stop_of_status o.Kernel.status)
-            && String.equal b.Ir_eval.output o.Kernel.output)
-          preds baselines
-      in
-      (true, ok)
-    | exception _ -> (false, true)
-  in
-  let plan = Plan.build ~seed:cfg.seed ~count:cfg.count in
-  let cells =
-    List.concat_map
-      (fun (inj : Fault.injection) ->
-        List.filter_map
-          (fun (s, exe) -> if applicable s inj.Fault.kind then Some (inj, s, exe) else None)
-          exes)
-      plan
-  in
-  let done_keys = Hashtbl.create 64 in
-  List.iter (fun (r : row) -> Hashtbl.replace done_keys (r.index, r.scheme) ()) prior;
-  let todo =
-    List.filter
-      (fun ((inj : Fault.injection), s, _) ->
-        not (Hashtbl.mem done_keys (inj.Fault.index, Pass.scheme_name s)))
-      cells
-  in
-  let todo =
-    match cfg.max_cells with
-    | Some k -> List.filteri (fun i _ -> i < k) todo
-    | None -> todo
-  in
-  start_checkpoint ~header ~prior cfg.checkpoint;
-  let baseline_for s = fst (List.assoc s baselines) in
-  let baseline_mem_for s = snd (List.assoc s baselines) in
-  (* Silent-corruption rows restored from a checkpoint carry no diff (the
-     checkpoint persists rows only), so a resumed report would lose their
-     localization.  Re-derive those cells deterministically — the re-run
-     reproduces the fresh run's diff bit-for-bit, keeping resumed and
-     uninterrupted reports byte-identical. *)
-  let recover =
-    let inj_by_index = Hashtbl.create 16 in
+  let setup () =
+    (* compile serially: the toolchain owns global state *)
+    let exes = List.map (fun s -> (s, compile_victim ~elide:cfg.elide s)) schemes in
+    (* Every machine starts on the shared zero page, so baselines, ladder
+       parents and cells all share their untouched pages and the
+       silent-corruption memory diffs stay O(touched pages), not O(DRAM). *)
+    let baselines =
+      Parallel.map ?jobs:cfg.jobs (fun (s, exe) -> (s, baseline_run_full exe)) exes
+    in
     List.iter
-      (fun (inj : Fault.injection) -> Hashtbl.replace inj_by_index inj.Fault.index inj)
-      plan;
-    let scheme_by_name = List.map (fun s -> (Pass.scheme_name s, s)) schemes in
-    List.filter_map
-      (fun (r : row) ->
-        if r.outcome <> Verdict Fault.Silent_corruption then None
-        else
-          match
-            (Hashtbl.find_opt inj_by_index r.index, List.assoc_opt r.scheme scheme_by_name)
-          with
-          | Some inj, Some s -> Some (inj, s, List.assoc s exes)
-          | _ -> None)
-      prior
-  in
-  (* snapshot seeding: one warm parent per scheme, advanced through the
-     sorted distinct trigger frontiers its todo (and diff-recovery)
-     cells need *)
-  let ladders =
-    if cfg.from_reset then []
-    else
-      Parallel.map ?jobs:cfg.jobs
-        (fun (s, exe) ->
-          let triggers =
-            List.filter_map
-              (fun ((inj : Fault.injection), s', _) ->
-                if s' = s then Some (trigger_of ~baseline:(baseline_for s) inj)
-                else None)
-              (todo @ recover)
-          in
-          (Pass.scheme_name s, build_ladder ~triggers exe))
-        exes
-  in
-  let snap_for scheme trigger =
-    List.assoc trigger (List.assoc (Pass.scheme_name scheme) ladders)
-  in
-  let todo_arr = Array.of_list todo in
-  let row_of idx outcome =
-    let (inj : Fault.injection), scheme, _ = todo_arr.(idx) in
-    match outcome with
-    | Experiments.Cell_ok (r, diffs) -> (r, diffs)
-    | Experiments.Cell_failed { error; attempts } ->
-      ( {
-          index = inj.Fault.index;
-          scheme = Pass.scheme_name scheme;
-          cls = Fault.class_name inj.Fault.kind;
-          label = Fault.kind_label inj.Fault.kind;
-          trigger = 0L;
-          applied = false;
-          attempts;
-          outcome = Failed;
-          detail = sanitize error;
-        },
-        None )
-  in
-  let outcomes =
-    with_appender ~batch:cfg.checkpoint_batch cfg.checkpoint @@ fun append_row ->
-    Experiments.run_cells_contained ~attempts:cfg.attempts ?jobs:cfg.jobs
-      ~on_cell:(fun idx o -> append_row (row_to_line (fst (row_of idx o))))
-      ~f:(fun ~attempt ((inj : Fault.injection), scheme, exe) ->
-        (match cfg.sabotage with
-        | Some f -> f ~index:inj.Fault.index ~scheme ~attempt
-        | None -> ());
-        let baseline = baseline_for scheme in
-        let baseline_mem = baseline_mem_for scheme in
-        if cfg.from_reset then
-          run_one ~budget_factor:cfg.budget_factor ~baseline_mem ~attempt ~baseline inj
-            scheme exe
-        else
-          run_one_seeded ~budget_factor:cfg.budget_factor ~baseline_mem ~attempt
-            ~baseline
-            ~snap:(snap_for scheme (trigger_of ~baseline inj))
-            inj scheme exe)
-      todo
-  in
-  let fresh = List.mapi row_of outcomes in
-  let scheme_pos =
-    let names = List.mapi (fun i s -> (Pass.scheme_name s, i)) schemes in
-    fun n -> match List.assoc_opt n names with Some i -> i | None -> max_int
-  in
-  let by_cell (ia, sa) (ib, sb) = compare (ia, scheme_pos sa) (ib, scheme_pos sb) in
-  let rows =
-    List.sort
-      (fun (a : row) (b : row) -> by_cell (a.index, a.scheme) (b.index, b.scheme))
-      (prior @ List.map fst fresh)
-  in
-  let recovered_diffs =
-    List.filter_map
-      (fun ((inj : Fault.injection), scheme, exe) ->
-        let baseline = baseline_for scheme in
-        let baseline_mem = baseline_mem_for scheme in
-        let _, diffs =
-          if cfg.from_reset then
-            run_one ~budget_factor:cfg.budget_factor ~baseline_mem ~attempt:1 ~baseline
-              inj scheme exe
-          else
-            run_one_seeded ~budget_factor:cfg.budget_factor ~baseline_mem ~attempt:1
-              ~baseline
-              ~snap:(snap_for scheme (trigger_of ~baseline inj))
-              inj scheme exe
+      (fun (s, ((b : Kernel.run_outcome), _)) ->
+        match b.Kernel.status with
+        | Process.Exited 0 when String.equal b.Kernel.output Chaos_victim.benign_output ->
+          ()
+        | st ->
+          raise
+            (Broken_victim
+               (Printf.sprintf "chaos victim broken under %s: %s, output %S"
+                  (Pass.scheme_name s) (status_str st) b.Kernel.output)))
+      baselines;
+    (* cross-check the baselines against the reference IR oracle — the
+       differential machinery roload-fuzz already trusts *)
+    let oracle =
+      match Diff.oracle_behaviors ~schemes Chaos_victim.source with
+      | preds ->
+        let ok =
+          List.for_all2
+            (fun (_, (b : Ir_eval.behavior)) (_, ((o : Kernel.run_outcome), _)) ->
+              Trapclass.stop_equal b.Ir_eval.stop (Trapclass.stop_of_status o.Kernel.status)
+              && String.equal b.Ir_eval.output o.Kernel.output)
+            preds baselines
         in
-        match diffs with
-        | Some ds -> Some ((inj.Fault.index, Pass.scheme_name scheme), ds)
-        | None -> None)
-      recover
+        (true, ok)
+      | exception _ -> (false, true)
+    in
+    ((exes, baselines, oracle), Plan.build ~seed:cfg.seed ~count:cfg.count, exes)
   in
+  (* The from-reset/seeded choice is made once, here: both paths feed
+     [cell_row] the same final state, so either closure settles every
+     cell — fresh or re-run for its diff — to the same row. *)
+  let arm (exes, baselines, _) cells =
+    let baseline_for s = List.assoc s baselines in
+    if cfg.from_reset then fun ~attempt ((inj : Fault.injection), scheme, exe) ->
+      let baseline, baseline_mem = baseline_for scheme in
+      run_one ~budget_factor:cfg.budget_factor ~baseline_mem ~attempt ~baseline inj scheme
+        exe
+    else begin
+      (* snapshot seeding: one warm parent per scheme, advanced through
+         the sorted distinct trigger frontiers its cells need *)
+      let ladders =
+        Parallel.map ?jobs:cfg.jobs
+          (fun (s, exe) ->
+            let baseline = fst (baseline_for s) in
+            let triggers =
+              List.filter_map
+                (fun ((inj : Fault.injection), s', _) ->
+                  if s' = s then Some (trigger_of ~baseline inj) else None)
+                cells
+            in
+            (s, build_ladder ~triggers exe))
+          exes
+      in
+      fun ~attempt ((inj : Fault.injection), scheme, exe) ->
+        let baseline, baseline_mem = baseline_for scheme in
+        let snap = List.assoc (trigger_of ~baseline inj) (List.assoc scheme ladders) in
+        run_one_seeded ~budget_factor:cfg.budget_factor ~baseline_mem ~attempt ~baseline
+          ~snap inj scheme exe
+    end
+  in
+  let (_, _, (oracle_checked, oracle_agreed)), rows, settled =
+    run_cells ~header ~checkpoint:cfg.checkpoint ~resume:cfg.resume
+      ~batch:cfg.checkpoint_batch ~attempts:cfg.attempts ~jobs:cfg.jobs
+      ~max_cells:cfg.max_cells ~sabotage:cfg.sabotage ~to_line:row_to_line
+      ~of_line:row_of_line
+      ~key:(fun (r : row) -> (r.index, r.scheme))
+      ~index:(fun (inj : Fault.injection) -> inj.Fault.index)
+      ~applicable:(fun s (inj : Fault.injection) -> applicable s inj.Fault.kind)
+      ~row:fst
+      ~failed:(fun ((inj : Fault.injection), scheme, _) ~attempts ~error ->
+        ( {
+            index = inj.Fault.index;
+            scheme = Pass.scheme_name scheme;
+            cls = Fault.class_name inj.Fault.kind;
+            label = Fault.kind_label inj.Fault.kind;
+            trigger = 0L;
+            applied = false;
+            attempts;
+            outcome = Failed;
+            detail = error;
+          },
+          None ))
+        (* Silent-corruption rows restored from a checkpoint carry no diff
+           (the checkpoint persists rows only), so a resumed report would
+           lose their localization.  Re-deriving those cells reproduces
+           the fresh run's diff bit-for-bit, keeping resumed and
+           uninterrupted reports byte-identical. *)
+      ~rerun:(fun (r : row) -> r.outcome = Verdict Fault.Silent_corruption)
+      ~setup ~arm
+  in
+  let order = cell_order schemes in
   let corruption_diffs =
     List.sort
-      (fun (ka, _) (kb, _) -> by_cell ka kb)
-      (recovered_diffs
-      @ List.filter_map
-          (fun ((r : row), diffs) ->
-            match diffs with Some ds -> Some ((r.index, r.scheme), ds) | None -> None)
-          fresh)
+      (fun (ka, _) (kb, _) -> order ka kb)
+      (List.filter_map
+         (fun ((r : row), diffs) -> Option.map (fun ds -> ((r.index, r.scheme), ds)) diffs)
+         settled)
   in
   { rows; schemes; oracle_checked; oracle_agreed; corruption_diffs }
 
@@ -1046,157 +1040,106 @@ let run_server (cfg : server_config) =
       cfg.sv_max_restarts cfg.sv_deadline_cycles
       (String.concat "," (List.map Pass.scheme_name schemes))
   in
-  let prior =
-    prior_rows ~resume:cfg.sv_resume ~header ~parse:server_row_of_line cfg.sv_checkpoint
-  in
-  let stream =
-    Roload_workloads.Server_like.requests ~seed:cfg.sv_seed ~count:cfg.sv_requests
-  in
-  (* compile serially: the toolchain owns global state *)
-  let exes =
-    List.map (fun s -> (s, compile_server_victim ~workers:cfg.sv_workers s)) schemes
-  in
-  (* per-scheme uninjected baselines: the correct committed result for
-     every request id, plus the fuel yardstick for the cell watchdog *)
-  let baselines =
-    Parallel.map ?jobs:cfg.sv_jobs
-      (fun (s, exe) ->
-        let m, stats = run_server_once cfg ~max_instructions:2_000_000_000L exe stream in
-        (s, (m, stats)))
-      exes
-  in
-  List.iter
-    (fun (s, ((m : System.measurement), (stats : System.server_stats))) ->
-      let name = Pass.scheme_name s in
-      if not (System.exited_cleanly m) then
-        raise
-          (Broken_victim
-             (Printf.sprintf "server victim under %s: root %s" name
-                (server_status_str m)));
-      if stats.System.served <> cfg.sv_requests then
-        raise
-          (Broken_victim
-             (Printf.sprintf "server victim under %s served %d of %d" name
-                stats.System.served cfg.sv_requests));
-      if stats.System.restarts <> 0 then
-        raise
-          (Broken_victim
-             (Printf.sprintf "server victim under %s needed %d restart(s) uninjected"
-                name stats.System.restarts)))
-    baselines;
-  (* the committed results are a pure function of the payloads, so every
-     scheme's baseline must agree — a divergence means a miscompile, not
-     a chaos finding *)
-  (match baselines with
-  | (_, (_, first)) :: rest ->
+  let setup () =
+    let stream =
+      Roload_workloads.Server_like.requests ~seed:cfg.sv_seed ~count:cfg.sv_requests
+    in
+    (* compile serially: the toolchain owns global state *)
+    let exes =
+      List.map (fun s -> (s, compile_server_victim ~workers:cfg.sv_workers s)) schemes
+    in
+    (* per-scheme uninjected baselines: the correct committed result for
+       every request id, plus the fuel yardstick for the cell watchdog *)
+    let baselines =
+      Parallel.map ?jobs:cfg.sv_jobs
+        (fun (s, exe) ->
+          let m, stats = run_server_once cfg ~max_instructions:2_000_000_000L exe stream in
+          (s, (m, stats)))
+        exes
+    in
     List.iter
-      (fun (s, (_, (stats : System.server_stats))) ->
-        if
-          not
-            (Int64.equal stats.System.checksum first.System.checksum
-            && String.equal stats.System.console first.System.console)
-        then
+      (fun (s, ((m : System.measurement), (stats : System.server_stats))) ->
+        let name = Pass.scheme_name s in
+        if not (System.exited_cleanly m) then
           raise
             (Broken_victim
-               (Printf.sprintf "server baseline checksum diverges under %s"
-                  (Pass.scheme_name s))))
-      rest
-  | [] -> ());
-  let baseline_results_for =
-    let tbl =
-      List.map
+               (Printf.sprintf "server victim under %s: root %s" name
+                  (server_status_str m)));
+        if stats.System.served <> cfg.sv_requests then
+          raise
+            (Broken_victim
+               (Printf.sprintf "server victim under %s served %d of %d" name
+                  stats.System.served cfg.sv_requests));
+        if stats.System.restarts <> 0 then
+          raise
+            (Broken_victim
+               (Printf.sprintf "server victim under %s needed %d restart(s) uninjected"
+                  name stats.System.restarts)))
+      baselines;
+    (* the committed results are a pure function of the payloads, so every
+       scheme's baseline must agree — a divergence means a miscompile, not
+       a chaos finding *)
+    (match baselines with
+    | (_, (_, first)) :: rest ->
+      List.iter
         (fun (s, (_, (stats : System.server_stats))) ->
-          ( s,
-            Array.map
-              (fun (rr : Kernel.request_record) -> rr.Kernel.rr_result)
-              stats.System.records ))
-        baselines
-    in
-    fun s -> List.assoc s tbl
+          if
+            not
+              (Int64.equal stats.System.checksum first.System.checksum
+              && String.equal stats.System.console first.System.console)
+          then
+            raise
+              (Broken_victim
+                 (Printf.sprintf "server baseline checksum diverges under %s"
+                    (Pass.scheme_name s))))
+        rest
+    | [] -> ());
+    ((stream, baselines), Plan.build_server ~seed:cfg.sv_seed ~count:cfg.sv_count, exes)
   in
-  let budget_for =
-    let tbl =
+  let arm (stream, baselines) _ =
+    let per_scheme =
       List.map
-        (fun (s, ((m : System.measurement), _)) ->
+        (fun (s, ((m : System.measurement), (stats : System.server_stats))) ->
           ( s,
-            Int64.add
-              (Int64.mul m.System.instructions (Int64.of_int cfg.sv_budget_factor))
-              100_000L ))
+            ( Array.map
+                (fun (rr : Kernel.request_record) -> rr.Kernel.rr_result)
+                stats.System.records,
+              Int64.add
+                (Int64.mul m.System.instructions (Int64.of_int cfg.sv_budget_factor))
+                100_000L ) ))
         baselines
     in
-    fun s -> List.assoc s tbl
+    fun ~attempt (inj, scheme, exe) ->
+      let baseline_results, budget = List.assoc scheme per_scheme in
+      run_server_cell cfg ~attempt ~baseline_results ~budget inj scheme exe stream
   in
-  let plan = Plan.build_server ~seed:cfg.sv_seed ~count:cfg.sv_count in
-  let cells =
-    List.concat_map
-      (fun (inj : Server_fault.injection) ->
-        List.filter_map
-          (fun (s, exe) ->
-            if server_applicable s inj.Server_fault.kind then Some (inj, s, exe)
-            else None)
-          exes)
-      plan
-  in
-  let done_keys = Hashtbl.create 64 in
-  List.iter
-    (fun (r : server_row) -> Hashtbl.replace done_keys (r.sv_index, r.sv_scheme) ())
-    prior;
-  let todo =
-    List.filter
-      (fun ((inj : Server_fault.injection), s, _) ->
-        not (Hashtbl.mem done_keys (inj.Server_fault.index, Pass.scheme_name s)))
-      cells
-  in
-  let todo =
-    match cfg.sv_max_cells with
-    | Some k -> List.filteri (fun i _ -> i < k) todo
-    | None -> todo
-  in
-  start_checkpoint ~header ~prior cfg.sv_checkpoint;
-  let todo_arr = Array.of_list todo in
-  let row_of idx outcome =
-    let (inj : Server_fault.injection), scheme, _ = todo_arr.(idx) in
-    match outcome with
-    | Experiments.Cell_ok r -> r
-    | Experiments.Cell_failed { error; attempts } ->
-      {
-        sv_index = inj.Server_fault.index;
-        sv_scheme = Pass.scheme_name scheme;
-        sv_cls = Server_fault.class_name inj.Server_fault.kind;
-        sv_label = Server_fault.kind_label inj.Server_fault.kind;
-        sv_worker = inj.Server_fault.worker_slot;
-        sv_trigger = 0;
-        sv_applied = false;
-        sv_cell_attempts = attempts;
-        sv_failed = true;
-        sv_tally = Server_fault.empty_tally;
-        sv_restarts = 0;
-        sv_detail = sanitize error;
-      }
-  in
-  let outcomes =
-    with_appender ~batch:cfg.sv_checkpoint_batch cfg.sv_checkpoint @@ fun append_row ->
-    Experiments.run_cells_contained ~attempts:cfg.sv_attempts ?jobs:cfg.sv_jobs
-      ~on_cell:(fun idx o -> append_row (server_row_to_line (row_of idx o)))
-      ~f:(fun ~attempt ((inj : Server_fault.injection), scheme, exe) ->
-        (match cfg.sv_sabotage with
-        | Some f -> f ~index:inj.Server_fault.index ~scheme ~attempt
-        | None -> ());
-        run_server_cell cfg ~attempt
-          ~baseline_results:(baseline_results_for scheme)
-          ~budget:(budget_for scheme) inj scheme exe stream)
-      todo
-  in
-  let fresh = List.mapi row_of outcomes in
-  let scheme_pos =
-    let names = List.mapi (fun i s -> (Pass.scheme_name s, i)) schemes in
-    fun n -> match List.assoc_opt n names with Some i -> i | None -> max_int
-  in
-  let rows =
-    List.sort
-      (fun (a : server_row) (b : server_row) ->
-        compare (a.sv_index, scheme_pos a.sv_scheme) (b.sv_index, scheme_pos b.sv_scheme))
-      (prior @ fresh)
+  let _, rows, _ =
+    run_cells ~header ~checkpoint:cfg.sv_checkpoint ~resume:cfg.sv_resume
+      ~batch:cfg.sv_checkpoint_batch ~attempts:cfg.sv_attempts ~jobs:cfg.sv_jobs
+      ~max_cells:cfg.sv_max_cells ~sabotage:cfg.sv_sabotage ~to_line:server_row_to_line
+      ~of_line:server_row_of_line
+      ~key:(fun (r : server_row) -> (r.sv_index, r.sv_scheme))
+      ~index:(fun (inj : Server_fault.injection) -> inj.Server_fault.index)
+      ~applicable:(fun s (inj : Server_fault.injection) ->
+        server_applicable s inj.Server_fault.kind)
+      ~row:Fun.id
+      ~failed:(fun ((inj : Server_fault.injection), scheme, _) ~attempts ~error ->
+        {
+          sv_index = inj.Server_fault.index;
+          sv_scheme = Pass.scheme_name scheme;
+          sv_cls = Server_fault.class_name inj.Server_fault.kind;
+          sv_label = Server_fault.kind_label inj.Server_fault.kind;
+          sv_worker = inj.Server_fault.worker_slot;
+          sv_trigger = 0;
+          sv_applied = false;
+          sv_cell_attempts = attempts;
+          sv_failed = true;
+          sv_tally = Server_fault.empty_tally;
+          sv_restarts = 0;
+          sv_detail = error;
+        })
+      ~rerun:(fun _ -> false)
+      ~setup ~arm
   in
   { sv_rows = rows; sv_report_schemes = schemes; sv_report_requests = cfg.sv_requests }
 

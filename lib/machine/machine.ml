@@ -72,9 +72,9 @@ type prof = {
 
 (* The trace-compiled engine is the default; [ROLOAD_ENGINE] overrides it
    ([single] is the per-instruction reference interpreter, kept for
-   differential testing; [block] the PR 2 block-cached engine).  An
-   unrecognized value fails loudly — a silently misread engine name would
-   invalidate benchmark comparisons. *)
+   differential testing; [block] the dispatch loop with trace compilation
+   off).  An unrecognized value fails loudly — a silently misread engine
+   name would invalidate benchmark comparisons. *)
 let default_engine = ref Traced
 let set_default_engine e = default_engine := e
 
@@ -826,49 +826,6 @@ let exec_block t ~stop_at_pc ~(fuel : int ref) ~pc0 ~pa ~vpn ~tlb_handle ~block 
                 ~insts:(Int64.sub (Cpu.instret cpu) ins0);
               r)
 
-let run_blocks t ~stop_at_pc ~fuel =
-  let cpu = t.cpu in
-  let mmu = mmu_exn t in
-  let itlb = Mmu.itlb mmu in
-  let fuel = ref fuel in
-  let finished = ref None in
-  while !finished = None do
-    if !fuel <= 0 then finished := Some Exhausted
-    else begin
-      let pc0 = Cpu.pc cpu in
-      match stop_at_pc with
-      | Some s when s = pc0 -> finished := Some Stop_pc
-      | _ ->
-        if pc0 land 1 <> 0 then
-          finished := Some (Trap (Trap.Misaligned_access { pc = pc0; va = pc0; access = Perm.Fetch }))
-        else begin
-          match Mmu.translate mmu ~access:Perm.Fetch pc0 with
-          | Error f -> finished := Some (Trap (Trap.of_mmu_fault ~pc:pc0 f))
-          | Ok { pa; walk_steps; _ } ->
-            charge_walk t walk_steps;
-            let vpn = pc0 lsr Page_table.page_shift in
-            let tlb_handle = Tlb.peek itlb ~vpn in
-            let block, cached =
-              match Hashtbl.find_opt t.blocks pa with
-              | Some b -> (b, true)
-              | None ->
-                let b = Block.create ~start_pa:pa in
-                Hashtbl.add t.blocks pa b;
-                (b, false)
-            in
-            t.block_enters <- t.block_enters + 1;
-            if cached then t.block_hits <- t.block_hits + 1;
-            (match t.tracer with
-            | None -> ()
-            | Some tr -> Tracer.emit tr (Event.Block_enter { pa; cached }));
-            (match exec_block t ~stop_at_pc ~fuel ~pc0 ~pa ~vpn ~tlb_handle ~block with
-            | Some r -> finished := Some r
-            | None -> ())
-        end
-    end
-  done;
-  match !finished with Some r -> r | None -> assert false
-
 (* ---- trace-compiled engine ---- *)
 
 let lower_env t =
@@ -923,24 +880,30 @@ let attempt_compile t ~entry_va ~entry_pa ~block =
     Hashtbl.replace t.traces entry_pa (Lower.compile (lower_env t) plan);
     t.traces_compiled <- t.traces_compiled + 1
 
-(* The traced engine: the block-cached dispatch loop, plus hot-path
-   promotion.  Blocks record entry counts and taken successors; once a
-   block is hot its trace is stitched ([Trace.build]) and lowered
-   ([Lower.compile]), and later dispatches that land on the trace entry
-   run the compiled closure instead of interpreting slots.
+(* The dispatch loop shared by the block-cached and traced engines: look
+   up (or start) the pre-decoded block at the fetch PA and run it.  On
+   the traced engine it also promotes hot paths: blocks record entry
+   counts and taken successors; once a block is hot its trace is
+   stitched ([Trace.build]) and lowered ([Lower.compile]), and later
+   dispatches that land on the trace entry run the compiled closure
+   instead of interpreting slots.  The block engine is this loop with
+   trace lookup and compilation off — its hotness bookkeeping is
+   host-only state that no counter reads.
 
    Traces only run on "plain" dispatches: no instruction-trace hook, no
    obs tracer, no [stop_at_pc], and enough fuel for a full pass — any of
-   those falls back to the block engine, whose per-slot path emits the
-   events and honors the stop.  Correctness never depends on when or
-   whether a trace runs. *)
-let run_traced t ~stop_at_pc ~fuel =
+   those falls back to the per-slot block path, which emits the events
+   and honors the stop.  Correctness never depends on when or whether a
+   trace runs. *)
+let run_dispatch t ~stop_at_pc ~fuel =
   let cpu = t.cpu in
   let mmu = mmu_exn t in
   let itlb = Mmu.itlb mmu in
   let fuel = ref fuel in
   let finished = ref None in
-  let usable = t.trace = None && t.tracer = None && stop_at_pc = None in
+  let usable =
+    t.engine = Traced && t.trace = None && t.tracer = None && stop_at_pc = None
+  in
   (* the block that just finished, for successor-edge recording *)
   let prev_block = ref None in
   (* a seam translation that already accounted its I-TLB access but
@@ -1058,9 +1021,8 @@ let run_single t ~stop_at_pc ~fuel =
    retired instructions. *)
 let run_steps ?stop_at_pc ~fuel t =
   match t.engine with
-  | Block_cached -> run_blocks t ~stop_at_pc ~fuel
   | Single_step -> run_single t ~stop_at_pc ~fuel
-  | Traced -> run_traced t ~stop_at_pc ~fuel
+  | Block_cached | Traced -> run_dispatch t ~stop_at_pc ~fuel
 
 (* ---- snapshots ----
 

@@ -26,10 +26,13 @@ type exec_counts = Lower.exec_counts = {
 type t
 
 type engine =
-  | Block_cached  (** pre-decoded basic blocks + fetch fast paths *)
+  | Block_cached
+      (** the block dispatch loop with trace lookup and compilation off:
+          pre-decoded basic blocks + fetch fast paths *)
   | Single_step  (** the per-instruction reference interpreter *)
   | Traced
-      (** block engine + hot superblocks compiled to closures (default) *)
+      (** the same dispatch loop, plus hot superblocks compiled to
+          closures (default) *)
 
 val engine_name : engine -> string
 (** Canonical short name: ["single"], ["block"] or ["traced"]. *)

@@ -98,7 +98,8 @@ let classify (outcome : Kernel.run_outcome) =
     | k -> Attack.Blocked_other (Trapclass.kind_name k))
   | Process.Running -> Attack.Blocked_other "instruction limit"
 
-let run ?(config = default_run_config) ~exe kind =
+(* Boot the victim and pause it at [attack_point], still running. *)
+let boot_to_attack_point ~config ~exe =
   let machine = Machine.create config.machine_config in
   let kernel = Kernel.create ~machine ~config:config.kernel_config in
   let process = Kernel.load kernel exe in
@@ -113,13 +114,18 @@ let run ?(config = default_run_config) ~exe kind =
   | Process.Running -> ()
   | Process.Exited _ | Process.Killed _ ->
     failwith "attack runner: victim ended before the attack point");
+  (machine, kernel, process)
+
+(* Apply the attack primitive to a paused victim, finish, classify. *)
+let strike ~exe kernel process kind =
   (try corrupt exe process kind
    with Process.Attack_blocked reason ->
      failwith ("attack runner: primitive unexpectedly blocked: " ^ reason));
-  let final =
-    Kernel.run ~limit:{ Kernel.max_instructions = 10_000_000L } kernel process
-  in
-  classify final
+  classify (Kernel.run ~limit:{ Kernel.max_instructions = 10_000_000L } kernel process)
+
+let run ?(config = default_run_config) ~exe kind =
+  let _, kernel, process = boot_to_attack_point ~config ~exe in
+  strike ~exe kernel process kind
 
 (* Snapshot-seeded corpus: boot the victim once, pause at the attack
    point, capture a copy-on-write snapshot, and fork one variant per
@@ -131,30 +137,11 @@ let run_corpus ?(config = default_run_config) ?(from_reset = false) ~exe () =
   if from_reset then
     List.map (fun kind -> (kind, run ~config ~exe kind)) Attack.all_kinds
   else begin
-    let machine = Machine.create config.machine_config in
-    let kernel = Kernel.create ~machine ~config:config.kernel_config in
-    let process = Kernel.load kernel exe in
-    Kernel.schedule kernel process;
-    let stop = Exe.find_symbol_exn exe "attack_point" in
-    let paused =
-      Kernel.run ~stop_at_pc:stop
-        ~limit:{ Kernel.max_instructions = 10_000_000L }
-        kernel process
-    in
-    (match paused.Kernel.status with
-    | Process.Running -> ()
-    | Process.Exited _ | Process.Killed _ ->
-      failwith "attack runner: victim ended before the attack point");
+    let machine, kernel, process = boot_to_attack_point ~config ~exe in
     let snap = Roload_kernel.Snapshot.capture ~machine ~kernel ~process in
     List.map
       (fun kind ->
-        let _fm, fk, fp = Roload_kernel.Snapshot.fork snap in
-        (try corrupt exe fp kind
-         with Process.Attack_blocked reason ->
-           failwith ("attack runner: primitive unexpectedly blocked: " ^ reason));
-        let final =
-          Kernel.run ~limit:{ Kernel.max_instructions = 10_000_000L } fk fp
-        in
-        (kind, classify final))
+        let _, fk, fp = Roload_kernel.Snapshot.fork snap in
+        (kind, strike ~exe fk fp kind))
       Attack.all_kinds
   end

@@ -92,61 +92,58 @@ let test_silent_corruption_split () =
   Alcotest.(check bool) "oracle cross-check agreed" true
     ((not rp.Campaign.oracle_checked) || rp.Campaign.oracle_agreed)
 
+(* Crash containment and bounded retry belong to the campaign harness,
+   so both campaigns are checked through one view: run with a retry
+   bound and a sabotage hook, get back each row's plan index, attempt
+   count, failure flag and detail. *)
+type contained = { c_index : int; c_attempts : int; c_failed : bool; c_detail : string }
+
+let classic_contained ~count ~attempts sabotage =
+  let rp =
+    Campaign.run { small_config with Campaign.count; attempts; sabotage = Some sabotage }
+  in
+  List.map
+    (fun (r : Campaign.row) ->
+      {
+        c_index = r.Campaign.index;
+        c_attempts = r.Campaign.attempts;
+        c_failed = r.Campaign.outcome = Campaign.Failed;
+        c_detail = r.Campaign.detail;
+      })
+    rp.Campaign.rows
+
 (* Containment: a cell that keeps crashing becomes a structured failure
    row (with the attempt count) and the rest of the campaign completes. *)
-let test_cell_failure_contained () =
-  let cfg =
-    {
-      small_config with
-      Campaign.count = 6;
-      attempts = 2;
-      sabotage =
-        Some
-          (fun ~index ~scheme:_ ~attempt:_ ->
-            if index = 2 then failwith "sabotaged cell");
-    }
+let test_cell_failure_contained ~attempts campaign () =
+  let rows =
+    campaign ~count:6 ~attempts (fun ~index ~scheme:_ ~attempt:_ ->
+        if index = 2 then failwith "sabotaged cell")
   in
-  let rp = Campaign.run cfg in
-  let failed, ok =
-    List.partition (fun (r : Campaign.row) -> r.Campaign.outcome = Campaign.Failed)
-      rp.Campaign.rows
-  in
+  let failed, ok = List.partition (fun c -> c.c_failed) rows in
   Alcotest.(check bool) "sabotaged cells failed" true (failed <> []);
   List.iter
-    (fun (r : Campaign.row) ->
-      Alcotest.(check int) "failure row names the sabotaged index" 2 r.Campaign.index;
-      Alcotest.(check int) "retried the configured number of times" 2
-        r.Campaign.attempts;
-      Alcotest.(check bool) "error text preserved" true
-        (String.length r.Campaign.detail > 0))
+    (fun c ->
+      Alcotest.(check int) "failure row names the sabotaged index" 2 c.c_index;
+      Alcotest.(check int) "retried the configured number of times" attempts
+        c.c_attempts;
+      Alcotest.(check bool) "error text preserved" true (String.length c.c_detail > 0))
     failed;
   Alcotest.(check bool) "other cells completed" true (List.length ok > List.length failed)
 
-(* Bounded retry: a cell that crashes only on its first attempt succeeds
-   on the re-seeded second attempt and records attempts = 2. *)
-let test_cell_retry_recovers () =
-  let cfg =
-    {
-      small_config with
-      Campaign.count = 4;
-      attempts = 3;
-      sabotage =
-        Some
-          (fun ~index ~scheme:_ ~attempt ->
-            if index = 1 && attempt = 1 then failwith "flaky cell");
-    }
+(* Bounded retry: a cell that crashes on its first [flaky] attempts
+   succeeds on the next one and records it. *)
+let test_cell_retry_recovers ~attempts ~flaky campaign () =
+  let rows =
+    campaign ~count:4 ~attempts (fun ~index ~scheme:_ ~attempt ->
+        if index = 1 && attempt <= flaky then failwith "flaky cell")
   in
-  let rp = Campaign.run cfg in
-  let g = Campaign.gate rp in
-  Alcotest.(check int) "no failure rows" 0 g.Campaign.cell_failures;
-  let flaky =
-    List.filter (fun (r : Campaign.row) -> r.Campaign.index = 1) rp.Campaign.rows
-  in
-  Alcotest.(check bool) "flaky cells exist" true (flaky <> []);
+  Alcotest.(check int) "no failure rows" 0
+    (List.length (List.filter (fun c -> c.c_failed) rows));
+  let flaky_rows = List.filter (fun c -> c.c_index = 1) rows in
+  Alcotest.(check bool) "flaky cells exist" true (flaky_rows <> []);
   List.iter
-    (fun (r : Campaign.row) ->
-      Alcotest.(check int) "second attempt succeeded" 2 r.Campaign.attempts)
-    flaky
+    (fun c -> Alcotest.(check int) "retry succeeded" (flaky + 1) c.c_attempts)
+    flaky_rows
 
 (* Checkpoint/resume: kill the campaign mid-run (max_cells), resume from
    the checkpoint, and require the rendered report byte-identical to an
@@ -349,6 +346,27 @@ let server_config =
 
 let server_report = lazy (Campaign.run_server server_config)
 
+let server_contained ~count ~attempts sabotage =
+  let rp =
+    Campaign.run_server
+      {
+        server_config with
+        Campaign.sv_count = count;
+        sv_requests = 40;
+        sv_attempts = attempts;
+        sv_sabotage = Some sabotage;
+      }
+  in
+  List.map
+    (fun (r : Campaign.server_row) ->
+      {
+        c_index = r.Campaign.sv_index;
+        c_attempts = r.Campaign.sv_cell_attempts;
+        c_failed = r.Campaign.sv_failed;
+        c_detail = r.Campaign.sv_detail;
+      })
+    rp.Campaign.sv_rows
+
 (* Acceptance: under VCall/ICall every cell keeps availability at or
    above the floor with zero corrupted payloads (detection -> supervised
    restart -> redelivery), while the stock system commits silently
@@ -518,9 +536,10 @@ let suite =
       test_tamper_masked_under_baselines;
     Alcotest.test_case "silent corruption only under baselines" `Slow
       test_silent_corruption_split;
-    Alcotest.test_case "cell failure contained" `Quick test_cell_failure_contained;
+    Alcotest.test_case "cell failure contained" `Quick
+      (test_cell_failure_contained ~attempts:2 classic_contained);
     Alcotest.test_case "bounded retry recovers flaky cell" `Quick
-      test_cell_retry_recovers;
+      (test_cell_retry_recovers ~attempts:3 ~flaky:1 classic_contained);
     Alcotest.test_case "resume is byte-identical" `Slow test_resume_byte_identical;
     Alcotest.test_case "snapshot-seeded equals from-reset" `Slow
       test_snapshot_seeding_equivalence;
@@ -549,4 +568,10 @@ let suite =
       test_server_resume_mismatch_refused;
     Alcotest.test_case "server plans are seeded and prefix-stable" `Quick
       test_server_plan_determinism;
+    (* the same harness checks on the server campaign; [sv_attempts] is
+       off its default of 2, so a campaign that ignored it would fail *)
+    Alcotest.test_case "server campaign: cell failure contained" `Quick
+      (test_cell_failure_contained ~attempts:3 server_contained);
+    Alcotest.test_case "server campaign: bounded retry recovers flaky cell" `Quick
+      (test_cell_retry_recovers ~attempts:3 ~flaky:2 server_contained);
   ]

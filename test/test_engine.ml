@@ -334,6 +334,13 @@ let test_trace_invalidation () =
   in
   Alcotest.(check bool) "a trace was compiled" true
     (Machine.traces_compiled traced_machine >= 1);
+  (* the block engine is the same dispatch loop with compilation off:
+     even at hot threshold 1 it never compiles or enters a trace *)
+  let _, block_machine, _ = List.find (fun (n, _, _) -> n = "block") outcomes in
+  Alcotest.(check int) "block engine compiles no trace" 0
+    (Machine.traces_compiled block_machine);
+  Alcotest.(check int) "block engine enters no trace" 0
+    (Machine.trace_enters block_machine);
   List.iter
     (fun (name, _, (o : Kernel.run_outcome)) ->
       Alcotest.(check int64) (name ^ " cycles agree") traced_outcome.Kernel.cycles
