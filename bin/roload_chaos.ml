@@ -3,9 +3,10 @@
    Usage: roload_chaos [--seed N] [--count N] [--scheme S]... [-j N]
                        [--json PATH] [--checkpoint PATH] [--resume]
                        [--attempts N] [--fail-cell IDX] [--max-cells N]
-                       [--checkpoint-batch N] [--replay PATH]
+                       [--checkpoint-batch N]
                        [--server [--requests N] [--workers N] [--shards N]
                                  [--max-restarts N] [--deadline CYCLES]]
+          roload_chaos --replay PATH
 
    Runs baseline-vs-injected pairs for every plan entry under every
    scheme, prints the detection-coverage table, and exits:
@@ -14,8 +15,9 @@
         ROLoad schemes, no cell failures
      1  findings — silent corruption or undetected tampering under a
         ROLoad scheme (or a replayed reproducer's verdict changed)
-     2  usage error (including --elide, --from-reset or --diff-pages
-        given with --server, which has no use for them)
+     2  usage error, including --elide or --diff-pages given with
+        --server, which has no use for them, and any campaign flag given
+        with --replay; nothing is run or written
      3  cell failures — some cells kept crashing and were recorded as
         structured failure rows
      4  --resume refused — the checkpoint belongs to a different
@@ -33,6 +35,9 @@
      2  usage error, as above
      3  cell failures
      4  --resume refused, as above
+
+   [--replay] re-runs one pinned corpus reproducer and exits 0, or 1 if
+   a verdict changed; it takes no other flag.
 
    [--fail-cell] artificially crashes the cells of one plan index (the
    crash-containment self-test); [--max-cells] stops after N cells to
@@ -54,117 +59,123 @@ let refusing_mismatch f =
       path found expected;
     exit 4
 
+let replay path =
+  let checks = Campaign.replay ~path in
+  List.iter
+    (fun (c : Campaign.replay_check) ->
+      Printf.printf "%-8s expected %-18s got %-18s %s\n" c.rc_scheme c.rc_expected
+        c.rc_actual
+        (if c.rc_expected = c.rc_actual then "ok" else "MISMATCH"))
+    checks;
+  if List.exists (fun (c : Campaign.replay_check) -> c.rc_expected <> c.rc_actual) checks
+  then exit 1
+
+(* The campaign, applied to every flag but --replay; the trailing unit
+   defers it until [main] has checked the flags. *)
 let run seed count schemes jobs json checkpoint resume attempts fail_cell max_cells
-    replay elide from_reset diff_pages server requests workers shards max_restarts
-    deadline checkpoint_batch =
-  match replay with
-  | Some path ->
-    let checks = Campaign.replay ~path in
-    let bad =
-      List.filter
-        (fun (c : Campaign.replay_check) -> c.rc_expected <> c.rc_actual)
-        checks
-    in
+    elide diff_pages server requests workers shards max_restarts deadline
+    checkpoint_batch () =
+  if server then
     List.iter
-      (fun (c : Campaign.replay_check) ->
-        Printf.printf "%-8s expected %-18s got %-18s %s\n" c.rc_scheme c.rc_expected
-          c.rc_actual
-          (if c.rc_expected = c.rc_actual then "ok" else "MISMATCH"))
-      checks;
-    if bad <> [] then exit 1
-  | None ->
+      (fun (set, flag) ->
+        if set then begin
+          Printf.eprintf "roload_chaos: %s does not apply to --server\n" flag;
+          exit 2
+        end)
+      [ (elide, "--elide"); (diff_pages, "--diff-pages") ];
+  let schemes =
+    match schemes with
+    | [] -> Campaign.default_schemes
+    | names ->
+      List.map
+        (fun n ->
+          match Pass.scheme_of_string n with
+          | Some s -> s
+          | None ->
+            Printf.eprintf "unknown scheme %s\n" n;
+            exit 2)
+        names
+  in
+  let sabotage =
+    Option.map
+      (fun idx ~index ~scheme:_ ~attempt:_ ->
+        if index = idx then failwith "sabotaged cell (--fail-cell)")
+      fail_cell
+  in
+  (* each mode yields its rendered report, JSON, and gate verdicts
+     (cell failures, findings) *)
+  let text, report_json, failures, findings =
+    refusing_mismatch @@ fun () ->
     if server then
-      List.iter
-        (fun (set, flag) ->
-          if set then begin
-            Printf.eprintf "roload_chaos: %s does not apply to --server\n" flag;
-            exit 2
-          end)
-        [ (elide, "--elide"); (from_reset, "--from-reset"); (diff_pages, "--diff-pages") ];
-    let schemes =
-      match schemes with
-      | [] -> Campaign.default_schemes
-      | names ->
-        List.map
-          (fun n ->
-            match Pass.scheme_of_string n with
-            | Some s -> s
-            | None ->
-              Printf.eprintf "unknown scheme %s\n" n;
-              exit 2)
-          names
-    in
-    let sabotage =
-      Option.map
-        (fun idx ~index ~scheme:_ ~attempt:_ ->
-          if index = idx then failwith "sabotaged cell (--fail-cell)")
-        fail_cell
-    in
-    (* each mode yields its rendered report, JSON, and gate verdicts
-       (cell failures, findings) *)
-    let text, report_json, failures, findings =
-      refusing_mismatch @@ fun () ->
-      if server then
-        let rp =
-          Campaign.run_server
-            {
-              Campaign.default_server_config with
-              Campaign.sv_seed = seed;
-              sv_count = count;
-              sv_requests = requests;
-              sv_workers = workers;
-              sv_shards = shards;
-              sv_schemes = schemes;
-              sv_attempts = attempts;
-              sv_jobs = jobs;
-              sv_max_restarts = max_restarts;
-              sv_deadline_cycles = deadline;
-              sv_checkpoint = checkpoint;
-              sv_resume = resume;
-              sv_checkpoint_batch = checkpoint_batch;
-              sv_sabotage = sabotage;
-              sv_max_cells = max_cells;
-            }
-        in
-        let g = Campaign.server_gate rp in
-        ( Campaign.render_server rp,
-          lazy (Campaign.server_to_json rp),
-          g.Campaign.sg_cell_failures > 0,
-          g.Campaign.sg_low_availability > 0 || g.Campaign.sg_corrupted_under_roload > 0 )
-      else
-        let rp =
-          Campaign.run
-            {
-              Campaign.default_config with
-              Campaign.seed;
-              count;
-              schemes;
-              jobs;
-              attempts;
-              checkpoint;
-              resume;
-              checkpoint_batch;
-              sabotage;
-              max_cells;
-              elide;
-              from_reset;
-            }
-        in
-        let g = Campaign.gate rp in
-        ( (Campaign.render rp ^ if diff_pages then Campaign.render_diffs rp else ""),
-          lazy (Campaign.to_json rp),
-          g.Campaign.cell_failures > 0,
-          g.Campaign.silent_under_roload > 0 || g.Campaign.undetected_tamper > 0 )
-    in
-    print_string text;
-    (match json with
-    | None -> ()
-    | Some path ->
-      let oc = open_out path in
-      output_string oc (Lazy.force report_json);
-      close_out oc;
-      Printf.printf "report written to %s\n" path);
-    if failures then exit 3 else if findings then exit 1
+      let rp =
+        Campaign.run_server
+          {
+            Campaign.default_server_config with
+            Campaign.sv_seed = seed;
+            sv_count = count;
+            sv_requests = requests;
+            sv_workers = workers;
+            sv_shards = shards;
+            sv_schemes = schemes;
+            sv_attempts = attempts;
+            sv_jobs = jobs;
+            sv_max_restarts = max_restarts;
+            sv_deadline_cycles = deadline;
+            sv_checkpoint = checkpoint;
+            sv_resume = resume;
+            sv_checkpoint_batch = checkpoint_batch;
+            sv_sabotage = sabotage;
+            sv_max_cells = max_cells;
+          }
+      in
+      let g = Campaign.server_gate rp in
+      ( Campaign.render_server rp,
+        lazy (Campaign.server_to_json rp),
+        g.Campaign.sg_cell_failures > 0,
+        g.Campaign.sg_low_availability > 0 || g.Campaign.sg_corrupted_under_roload > 0 )
+    else
+      let rp =
+        Campaign.run
+          {
+            Campaign.seed;
+            count;
+            schemes;
+            jobs;
+            attempts;
+            checkpoint;
+            resume;
+            checkpoint_batch;
+            sabotage;
+            max_cells;
+            elide;
+          }
+      in
+      let g = Campaign.gate rp in
+      ( (Campaign.render rp ^ if diff_pages then Campaign.render_diffs rp else ""),
+        lazy (Campaign.to_json rp),
+        g.Campaign.cell_failures > 0,
+        g.Campaign.silent_under_roload > 0 || g.Campaign.undetected_tamper > 0 )
+  in
+  print_string text;
+  (match json with
+  | None -> ()
+  | Some path ->
+    let oc = open_out path in
+    output_string oc (Lazy.force report_json);
+    close_out oc;
+    Printf.printf "report written to %s\n" path);
+  if failures then exit 3 else if findings then exit 1
+
+(* [used] lists the campaign flags given on the command line: --replay
+   would ignore every one of them, so any is a usage error. *)
+let main (campaign, used) path =
+  match path with
+  | None -> campaign ()
+  | Some _ when used <> [] ->
+    Printf.eprintf "roload_chaos: --replay takes no campaign flags (got %s)\n"
+      (String.concat " " used);
+    exit 2
+  | Some path -> replay path
 
 let seed_arg =
   Arg.(value & opt int64 1L & info [ "seed" ] ~doc:"Campaign plan seed (deterministic).")
@@ -231,7 +242,7 @@ let replay_arg =
        & opt (some string) None
        & info [ "replay" ] ~docv:"PATH"
            ~doc:"Re-run a pinned corpus reproducer and compare verdicts instead of \
-                 running a campaign.")
+                 running a campaign. Takes no other flag (exit 2).")
 
 let elide_arg =
   Arg.(value
@@ -240,15 +251,6 @@ let elide_arg =
            ~doc:"Compile every victim with proof-guided ld.ro check elision \
                  (roload-prove + roload-elide); the detection-coverage table must be \
                  byte-identical to the unelided campaign.")
-
-let from_reset_arg =
-  Arg.(value
-       & flag
-       & info [ "from-reset" ]
-           ~doc:"Boot every cell from reset instead of forking the per-scheme \
-                 copy-on-write trigger snapshots (the default fan-out). Tables, \
-                 checkpoints and JSON are byte-identical either way — only the \
-                 throughput changes.")
 
 let diff_pages_arg =
   Arg.(value
@@ -308,10 +310,13 @@ let cmd =
   Cmd.v
     (Cmd.info "roload_chaos"
        ~doc:"Seeded fault-injection campaign with crash containment and resume")
-    Term.(const run $ seed_arg $ count_arg $ scheme_arg $ jobs_arg $ json_arg
-          $ checkpoint_arg $ resume_arg $ attempts_arg $ fail_cell_arg $ max_cells_arg
-          $ replay_arg $ elide_arg $ from_reset_arg $ diff_pages_arg $ server_arg
-          $ requests_arg $ workers_arg $ shards_arg $ max_restarts_arg $ deadline_arg
-          $ checkpoint_batch_arg)
+    Term.(const main
+          $ with_used_args
+              (const run $ seed_arg $ count_arg $ scheme_arg $ jobs_arg $ json_arg
+             $ checkpoint_arg $ resume_arg $ attempts_arg $ fail_cell_arg
+             $ max_cells_arg $ elide_arg $ diff_pages_arg $ server_arg $ requests_arg
+             $ workers_arg $ shards_arg $ max_restarts_arg $ deadline_arg
+             $ checkpoint_batch_arg)
+          $ replay_arg)
 
 let () = exit (Cmd.eval cmd)

@@ -34,7 +34,7 @@ val write :
   ?served_ratios:(string * float) list ->
   entry list ->
   unit
-(** [campaign_cells_per_s] records the snapshot-seeded chaos campaign's
+(** [campaign_cells_per_s] records the chaos campaign's
     throughput (settled cells per wall-clock second) and
     [requests_per_s] the server macro-benchmark's stock-scheme
     throughput — each its own top-level figure, gated separately from

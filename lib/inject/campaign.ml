@@ -5,20 +5,12 @@
    then runs the victim paused at the plan entry's trigger point (a
    retire-count fraction of that scheme's baseline), applies the fault
    through the injector backdoors, resumes under a watchdog budget, and
-   classifies the outcome against the baseline.
-
-   Snapshot seeding (the default): instead of re-booting the victim from
-   reset for every cell, each scheme boots one parent system, advances
-   it through the sorted distinct trigger frontiers, and captures a
-   copy-on-write snapshot at each; cells then fork from their trigger's
-   warm snapshot across the domain pool.  Pause/resume at a cumulative
-   retire count is bit-identical to an uninterrupted run, and forks
-   replay the captured state exactly, so the verdict table, checkpoint
-   rows and resume behavior are byte-identical to [from_reset = true] —
-   only the campaign throughput changes (each cell skips the boot and
-   the warm-up prefix).  Silent-corruption verdicts additionally carry a
-   page-level diff against the baseline's final memory (the
-   differential-state localizer), identical in both modes.
+   classifies the outcome against the baseline.  Every cell boots from
+   reset: boot is cheap (every page starts on the shared zero page), so
+   a cell costs its own instructions and holds no state once it settles.
+   Silent-corruption verdicts additionally carry a page-level diff
+   against the baseline's final memory (the differential-state
+   localizer).
 
    Both this campaign and the live-server campaign below run on one
    cell-campaign harness ([run_cells]): every cell runs behind
@@ -73,7 +65,6 @@ type config = {
   schemes : Pass.scheme list;
   attempts : int;  (** bounded deterministic retries per cell *)
   jobs : int option;
-  budget_factor : int;  (** watchdog = factor x baseline instructions *)
   checkpoint : string option;  (** incremental persistence file *)
   resume : bool;  (** skip cells already in the checkpoint *)
   checkpoint_batch : int;  (** rows buffered per checkpoint flush *)
@@ -81,9 +72,6 @@ type config = {
       (** test hook: raise from inside a chosen cell *)
   max_cells : int option;  (** test hook: simulate a mid-run kill *)
   elide : bool;  (** compile victims with proof-guided ld.ro check elision *)
-  from_reset : bool;
-      (** boot every cell from reset instead of forking trigger
-          snapshots; verdicts are byte-identical, only slower *)
 }
 
 let default_config =
@@ -93,14 +81,12 @@ let default_config =
     schemes = default_schemes;
     attempts = 2;
     jobs = None;
-    budget_factor = 8;
     checkpoint = None;
     resume = false;
     checkpoint_batch = 1;
     sabotage = None;
     max_cells = None;
     elide = false;
-    from_reset = false;
   }
 
 type outcome = Verdict of Fault.verdict | Failed
@@ -218,16 +204,25 @@ let trigger_of ~(baseline : Kernel.run_outcome) (inj : Fault.injection) =
   in
   if Int64.compare t 1L < 0 then 1L else t
 
-let budget_of ~budget_factor ~(baseline : Kernel.run_outcome) =
-  Int64.add
-    (Int64.mul baseline.Kernel.instructions (Int64.of_int budget_factor))
-    100_000L
+(* A cell's watchdog, for both campaigns: [budget_factor] times the
+   uninjected run's instructions, plus slack for short victims. *)
+let budget_factor = 8
 
-(* Verdict + row assembly shared by the from-reset and snapshot-seeded
-   cell paths — both feed it the same (final outcome, final machine), so
-   rows are byte-identical across modes by construction. *)
-let cell_row ~attempt ~baseline ~baseline_mem ~trigger ~applied (inj : Fault.injection)
-    scheme ~machine (final : Kernel.run_outcome) =
+let budget_of instructions =
+  Int64.add (Int64.mul instructions (Int64.of_int budget_factor)) 100_000L
+
+let run_one ?baseline_mem ~attempt ~(baseline : Kernel.run_outcome)
+    (inj : Fault.injection) scheme exe =
+  let trigger = trigger_of ~baseline inj in
+  let applied = ref None in
+  let inject ~machine ~process =
+    applied := Injector.apply ~machine ~process ~exe inj.Fault.kind
+  in
+  let final, machine, _, _ =
+    run_with_pause ~max_instructions:(budget_of baseline.Kernel.instructions)
+      ~pause_at:trigger ~inject exe
+  in
+  let applied = !applied in
   let verdict, detail = classify ~baseline final in
   let diffs =
     match (verdict, baseline_mem) with
@@ -251,43 +246,14 @@ let cell_row ~attempt ~baseline ~baseline_mem ~trigger ~applied (inj : Fault.inj
     },
     diffs )
 
-let run_one ?(budget_factor = default_config.budget_factor) ?baseline_mem ~attempt
-    ~(baseline : Kernel.run_outcome) (inj : Fault.injection) scheme exe =
-  let trigger = trigger_of ~baseline inj in
-  let budget = budget_of ~budget_factor ~baseline in
-  let applied = ref None in
-  let inject ~machine ~process =
-    applied := Injector.apply ~machine ~process ~exe inj.Fault.kind
-  in
-  let final, machine, _, _ =
-    run_with_pause ~max_instructions:budget ~pause_at:trigger ~inject exe
-  in
-  cell_row ~attempt ~baseline ~baseline_mem ~trigger ~applied:!applied inj scheme
-    ~machine final
-
-(* The snapshot-seeded cell: fork the warm image captured at this cell's
-   trigger frontier, inject, resume.  The fork holds exactly the state a
-   from-reset run paused at [trigger] would hold (the pause/resume
-   bit-identity invariant), so the verdict is identical — the boot and
-   warm-up prefix are simply never re-executed. *)
-let run_one_seeded ?(budget_factor = default_config.budget_factor) ?baseline_mem
-    ~attempt ~(baseline : Kernel.run_outcome) ~snap (inj : Fault.injection) scheme exe =
-  let trigger = trigger_of ~baseline inj in
-  let budget = budget_of ~budget_factor ~baseline in
-  let machine, kernel, process = Snapshot.fork snap in
-  let applied = ref None in
-  if Process.status process = Process.Running then
-    applied := Injector.apply ~machine ~process ~exe inj.Fault.kind;
-  let final = Kernel.run ~limit:{ Kernel.max_instructions = budget } kernel process in
-  cell_row ~attempt ~baseline ~baseline_mem ~trigger ~applied:!applied inj scheme
-    ~machine final
-
 (* ---------- the snapshot ladder ---------- *)
 
-(* Per scheme: boot one parent system and advance it through the sorted
-   distinct trigger frontiers, capturing a snapshot at each.  Run limits
-   are cumulative retire counts, so the parent paused at each frontier
-   is bit-identical to a from-reset run paused there. *)
+(* Boot one parent system and advance it through the sorted distinct
+   trigger frontiers, capturing a snapshot at each.  Run limits are
+   cumulative retire counts, so the parent paused at each frontier is
+   bit-identical to a from-reset run paused there.  No campaign forks
+   from it: it is the snapshot layer's probe and the tests' oracle for
+   {!run_one}. *)
 let build_ladder ~triggers exe =
   let triggers = List.sort_uniq Int64.compare triggers in
   match triggers with
@@ -422,14 +388,13 @@ let start_checkpoint ~header ~prior checkpoint =
    settled cell persisted as one checkpoint row.  [run_cells] is
    everything except the experiment: resume, containment, checkpointing
    and the merge.  A mismatched checkpoint is refused before [setup]
-   does any work (compiling, baselines).  [arm] sees only the cells that
-   will run, fresh or re-run, so the classic campaign's snapshot ladders
-   stop at the frontiers those need.  Prior rows that [rerun] selects are settled
-   again at attempt 1, after the fresh cells, for results the checkpoint
-   does not persist.  Rows come back sorted by (plan index, scheme
-   position), so a resumed campaign renders byte-identically to an
-   uninterrupted one; the fresh then re-run cell results come with
-   them. *)
+   does any work (compiling, baselines); [setup] returns the plan, the
+   per-scheme victims and the cell function.  Prior rows that [rerun]
+   selects are settled again at attempt 1, after the fresh cells, for
+   results the checkpoint does not persist.  Rows come back sorted by
+   (plan index, scheme position), so a resumed campaign renders
+   byte-identically to an uninterrupted one; the fresh then re-run cell
+   results come with them. *)
 
 let cell_order schemes =
   let pos = List.mapi (fun i s -> (Pass.scheme_name s, i)) schemes in
@@ -437,9 +402,9 @@ let cell_order schemes =
   fun (ia, sa) (ib, sb) -> compare (ia, pos sa) (ib, pos sb)
 
 let run_cells ~header ~checkpoint ~resume ~batch ~attempts ~jobs ~max_cells ~sabotage
-    ~to_line ~of_line ~key ~index ~applicable ~row ~failed ~rerun ~setup ~arm =
+    ~to_line ~of_line ~key ~index ~applicable ~row ~failed ~rerun ~setup =
   let prior = prior_rows ~resume ~header ~parse:of_line checkpoint in
-  let ctx, plan, exes = setup () in
+  let ctx, plan, exes, cell = setup () in
   let cells =
     List.concat_map
       (fun inj ->
@@ -463,7 +428,6 @@ let run_cells ~header ~checkpoint ~resume ~batch ~attempts ~jobs ~max_cells ~sab
       (fun r -> if rerun r then Hashtbl.find_opt by_key (key r) else None)
       prior
   in
-  let cell = arm ctx (todo @ redo) in
   let todo_arr = Array.of_list todo in
   let out_of idx = function
     | Experiments.Cell_ok o -> o
@@ -502,9 +466,9 @@ let run (cfg : config) =
   let setup () =
     (* compile serially: the toolchain owns global state *)
     let exes = List.map (fun s -> (s, compile_victim ~elide:cfg.elide s)) schemes in
-    (* Every machine starts on the shared zero page, so baselines, ladder
-       parents and cells all share their untouched pages and the
-       silent-corruption memory diffs stay O(touched pages), not O(DRAM). *)
+    (* Every machine starts on the shared zero page, so baselines and
+       cells share their untouched pages and the silent-corruption memory
+       diffs stay O(touched pages), not O(DRAM). *)
     let baselines =
       Parallel.map ?jobs:cfg.jobs (fun (s, exe) -> (s, baseline_run_full exe)) exes
     in
@@ -534,41 +498,13 @@ let run (cfg : config) =
         (true, ok)
       | exception _ -> (false, true)
     in
-    ((exes, baselines, oracle), Plan.build ~seed:cfg.seed ~count:cfg.count, exes)
+    let cell ~attempt ((inj : Fault.injection), scheme, exe) =
+      let baseline, baseline_mem = List.assoc scheme baselines in
+      run_one ~baseline_mem ~attempt ~baseline inj scheme exe
+    in
+    (oracle, Plan.build ~seed:cfg.seed ~count:cfg.count, exes, cell)
   in
-  (* The from-reset/seeded choice is made once, here: both paths feed
-     [cell_row] the same final state, so either closure settles every
-     cell — fresh or re-run for its diff — to the same row. *)
-  let arm (exes, baselines, _) cells =
-    let baseline_for s = List.assoc s baselines in
-    if cfg.from_reset then fun ~attempt ((inj : Fault.injection), scheme, exe) ->
-      let baseline, baseline_mem = baseline_for scheme in
-      run_one ~budget_factor:cfg.budget_factor ~baseline_mem ~attempt ~baseline inj scheme
-        exe
-    else begin
-      (* snapshot seeding: one warm parent per scheme, advanced through
-         the sorted distinct trigger frontiers its cells need *)
-      let ladders =
-        Parallel.map ?jobs:cfg.jobs
-          (fun (s, exe) ->
-            let baseline = fst (baseline_for s) in
-            let triggers =
-              List.filter_map
-                (fun ((inj : Fault.injection), s', _) ->
-                  if s' = s then Some (trigger_of ~baseline inj) else None)
-                cells
-            in
-            (s, build_ladder ~triggers exe))
-          exes
-      in
-      fun ~attempt ((inj : Fault.injection), scheme, exe) ->
-        let baseline, baseline_mem = baseline_for scheme in
-        let snap = List.assoc (trigger_of ~baseline inj) (List.assoc scheme ladders) in
-        run_one_seeded ~budget_factor:cfg.budget_factor ~baseline_mem ~attempt ~baseline
-          ~snap inj scheme exe
-    end
-  in
-  let (_, _, (oracle_checked, oracle_agreed)), rows, settled =
+  let (oracle_checked, oracle_agreed), rows, settled =
     run_cells ~header ~checkpoint:cfg.checkpoint ~resume:cfg.resume
       ~batch:cfg.checkpoint_batch ~attempts:cfg.attempts ~jobs:cfg.jobs
       ~max_cells:cfg.max_cells ~sabotage:cfg.sabotage ~to_line:row_to_line
@@ -596,7 +532,7 @@ let run (cfg : config) =
            the fresh run's diff bit-for-bit, keeping resumed and
            uninterrupted reports byte-identical. *)
       ~rerun:(fun (r : row) -> r.outcome = Verdict Fault.Silent_corruption)
-      ~setup ~arm
+      ~setup
   in
   let order = cell_order schemes in
   let corruption_diffs =
@@ -836,7 +772,6 @@ type server_config = {
   sv_engine : Machine.engine option;
   sv_max_restarts : int;  (** supervisor restart budget per worker *)
   sv_deadline_cycles : int64;  (** per-request watchdog; 0 = off *)
-  sv_budget_factor : int;  (** cell fuel = factor x baseline instructions *)
   sv_checkpoint : string option;
   sv_resume : bool;
   sv_checkpoint_batch : int;
@@ -858,7 +793,6 @@ let default_server_config =
     sv_engine = None;
     sv_max_restarts = 3;
     sv_deadline_cycles = 5_000_000L;
-    sv_budget_factor = 8;
     sv_checkpoint = None;
     sv_resume = false;
     sv_checkpoint_batch = 1;
@@ -1094,9 +1028,6 @@ let run_server (cfg : server_config) =
                     (Pass.scheme_name s))))
         rest
     | [] -> ());
-    ((stream, baselines), Plan.build_server ~seed:cfg.sv_seed ~count:cfg.sv_count, exes)
-  in
-  let arm (stream, baselines) _ =
     let per_scheme =
       List.map
         (fun (s, ((m : System.measurement), (stats : System.server_stats))) ->
@@ -1104,14 +1035,14 @@ let run_server (cfg : server_config) =
             ( Array.map
                 (fun (rr : Kernel.request_record) -> rr.Kernel.rr_result)
                 stats.System.records,
-              Int64.add
-                (Int64.mul m.System.instructions (Int64.of_int cfg.sv_budget_factor))
-                100_000L ) ))
+              budget_of m.System.instructions ) ))
         baselines
     in
-    fun ~attempt (inj, scheme, exe) ->
+    let cell ~attempt (inj, scheme, exe) =
       let baseline_results, budget = List.assoc scheme per_scheme in
       run_server_cell cfg ~attempt ~baseline_results ~budget inj scheme exe stream
+    in
+    ((), Plan.build_server ~seed:cfg.sv_seed ~count:cfg.sv_count, exes, cell)
   in
   let _, rows, _ =
     run_cells ~header ~checkpoint:cfg.sv_checkpoint ~resume:cfg.sv_resume
@@ -1139,7 +1070,7 @@ let run_server (cfg : server_config) =
           sv_detail = error;
         })
       ~rerun:(fun _ -> false)
-      ~setup ~arm
+      ~setup
   in
   { sv_rows = rows; sv_report_schemes = schemes; sv_report_requests = cfg.sv_requests }
 

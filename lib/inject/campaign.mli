@@ -21,7 +21,6 @@ type config = {
   schemes : Pass.scheme list;
   attempts : int;  (** bounded deterministic retries per cell *)
   jobs : int option;
-  budget_factor : int;  (** watchdog = factor x baseline instructions *)
   checkpoint : string option;  (** incremental persistence file *)
   resume : bool;
       (** skip cells already in the checkpoint; a checkpoint of a
@@ -38,11 +37,6 @@ type config = {
       (** compile every victim with proof-guided ld.ro check elision
           (roload-prove + roload-elide); detection coverage must be
           byte-identical to the unelided campaign *)
-  from_reset : bool;
-      (** boot every cell from reset instead of forking the per-scheme
-          trigger snapshots (the default fan-out); verdict tables,
-          checkpoints and resume are byte-identical either way — only
-          the throughput changes *)
 }
 
 val default_config : config
@@ -129,33 +123,21 @@ val baseline_run_full :
 (** The baseline outcome plus its final memory image — the reference the
     silent-corruption localizer diffs against. *)
 
-val run_one :
-  ?budget_factor:int ->
-  ?baseline_mem:Roload_mem.Phys_mem.image ->
-  attempt:int ->
-  baseline:Roload_kernel.Kernel.run_outcome ->
-  Fault.injection ->
-  Pass.scheme ->
-  Roload_obj.Exe.t ->
-  row * Roload_mem.Phys_mem.page_diff list option
-(** One from-reset cell: boot, pause at the entry's trigger, inject,
-    resume, classify.  With [baseline_mem], a silent-corruption verdict
-    also returns the page-level localization diff. *)
+val budget_factor : int
+(** A cell's watchdog is [budget_factor] times its scheme's uninjected
+    instruction count, plus 100k, in both campaigns. *)
 
-val run_one_seeded :
-  ?budget_factor:int ->
+val run_one :
   ?baseline_mem:Roload_mem.Phys_mem.image ->
   attempt:int ->
   baseline:Roload_kernel.Kernel.run_outcome ->
-  snap:Roload_kernel.Snapshot.t ->
   Fault.injection ->
   Pass.scheme ->
   Roload_obj.Exe.t ->
   row * Roload_mem.Phys_mem.page_diff list option
-(** One snapshot-seeded cell: fork the warm image captured at this
-    cell's trigger frontier, inject, resume.  Byte-identical verdict to
-    {!run_one} — the boot and warm-up prefix are simply not
-    re-executed. *)
+(** One cell, as {!run} settles it: boot, pause at the entry's trigger,
+    inject, resume, classify.  With [baseline_mem], a silent-corruption
+    verdict also returns the page-level localization diff. *)
 
 val build_ladder :
   triggers:int64 list ->
@@ -163,7 +145,8 @@ val build_ladder :
   (int64 * Roload_kernel.Snapshot.t) list
 (** Boot one parent system and advance it through the sorted distinct
     [triggers] (cumulative retire counts), capturing a copy-on-write
-    snapshot at each frontier. *)
+    snapshot at each frontier.  A fork of the snapshot at a cell's
+    trigger holds exactly the state {!run_one} pauses at. *)
 
 val verdict_of_row : row -> Fault.verdict option
 val detected : row -> bool
@@ -220,7 +203,6 @@ type server_config = {
   sv_engine : Roload_machine.Machine.engine option;
   sv_max_restarts : int;  (** supervisor restart budget per worker *)
   sv_deadline_cycles : int64;  (** per-request watchdog; 0 = off *)
-  sv_budget_factor : int;  (** cell fuel = factor x baseline instructions *)
   sv_checkpoint : string option;
   sv_resume : bool;  (** as [resume], for the server campaign *)
   sv_checkpoint_batch : int;

@@ -42,8 +42,7 @@ type image
 val snapshot : t -> image
 (** Capture the kernel's own mutable state (frame allocator cursor,
     syscall counter).  The scheduled process and the machine snapshot at
-    their own layers; {!Roload_core.System.snapshot} composes all
-    three. *)
+    their own layers; {!Snapshot.capture} composes all three. *)
 
 val restore : t -> image -> unit
 

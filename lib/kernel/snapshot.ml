@@ -3,11 +3,10 @@
    rebuild an address space over the forked memory (executable, kernel
    config, page-table root).
 
-   Campaign runners boot a workload once, pause at the trigger frontier,
-   capture, and fork thousands of variants from the warm image instead
-   of re-booting each from reset: physical pages are shared
-   copy-on-write, so a fork costs O(touched pages), not O(memory
-   size). *)
+   A runner boots a workload once, pauses it, captures, and forks any
+   number of variants from the warm image instead of re-booting each
+   from reset: physical pages are shared copy-on-write, so a fork costs
+   O(touched pages), not O(memory size). *)
 
 module Machine = Roload_machine.Machine
 module Config = Roload_machine.Config

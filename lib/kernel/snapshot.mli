@@ -1,8 +1,8 @@
 (** Whole-system snapshots: machine, kernel and process images captured
     at one instant.  One snapshot can seed any number of in-place
-    restores and copy-on-write forks; campaign runners boot a workload
-    once, pause at the trigger frontier, capture, and fork thousands of
-    variants from the warm image instead of re-booting from reset. *)
+    restores and copy-on-write forks; a runner boots a workload once,
+    pauses it, captures, and forks variants from the warm image instead
+    of re-booting each from reset. *)
 
 type t
 

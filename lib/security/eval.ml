@@ -130,18 +130,12 @@ let run ?(config = default_run_config) ~exe kind =
 (* Snapshot-seeded corpus: boot the victim once, pause at the attack
    point, capture a copy-on-write snapshot, and fork one variant per
    attack kind instead of re-booting from reset for each.  The boot
-   prefix is deterministic, so verdicts are identical either way;
-   [~from_reset:true] keeps the boot-per-attack path alive for the
-   equivalence regression. *)
-let run_corpus ?(config = default_run_config) ?(from_reset = false) ~exe () =
-  if from_reset then
-    List.map (fun kind -> (kind, run ~config ~exe kind)) Attack.all_kinds
-  else begin
-    let machine, kernel, process = boot_to_attack_point ~config ~exe in
-    let snap = Roload_kernel.Snapshot.capture ~machine ~kernel ~process in
-    List.map
-      (fun kind ->
-        let _, fk, fp = Roload_kernel.Snapshot.fork snap in
-        (kind, strike ~exe fk fp kind))
-      Attack.all_kinds
-  end
+   prefix is deterministic, so every verdict equals [run]'s. *)
+let run_corpus ?(config = default_run_config) ~exe () =
+  let machine, kernel, process = boot_to_attack_point ~config ~exe in
+  let snap = Roload_kernel.Snapshot.capture ~machine ~kernel ~process in
+  List.map
+    (fun kind ->
+      let _, fk, fp = Roload_kernel.Snapshot.fork snap in
+      (kind, strike ~exe fk fp kind))
+    Attack.all_kinds

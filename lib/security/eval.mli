@@ -22,12 +22,10 @@ val run : ?config:run_config -> exe:Roload_obj.Exe.t -> Attack.kind -> Attack.ou
 
 val run_corpus :
   ?config:run_config ->
-  ?from_reset:bool ->
   exe:Roload_obj.Exe.t ->
   unit ->
   (Attack.kind * Attack.outcome) list
-(** All attack kinds against one victim.  By default the victim is
-    booted once, paused at the attack point, snapshotted, and each
-    attack runs in a copy-on-write fork of the warm image;
-    [~from_reset:true] boots every attack from reset instead.  Verdicts
-    are identical either way — only the throughput changes. *)
+(** All attack kinds against one victim.  The victim is booted once,
+    paused at the attack point and snapshotted; each attack runs in a
+    copy-on-write fork of the warm image.  Every verdict equals {!run}'s
+    for the same kind. *)

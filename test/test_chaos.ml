@@ -12,6 +12,9 @@ module Kernel = Roload_kernel.Kernel
 module Process = Roload_kernel.Process
 module System = Core.System
 module Metrics = Roload_obs.Metrics
+module Injector = Roload_inject.Injector
+module Snapshot = Roload_kernel.Snapshot
+module Phys_mem = Roload_mem.Phys_mem
 
 (* seed 3 at count 15 covers all six classes including both redirect
    sinks, so every facet below has cells to assert on *)
@@ -166,24 +169,83 @@ let test_resume_byte_identical () =
   Alcotest.(check string) "resumed JSON byte-identical" (Campaign.to_json fresh)
     (Campaign.to_json resumed)
 
-(* Campaign equivalence: the snapshot-seeded fan-out (the default) and
-   the boot-every-cell-from-reset path must produce byte-identical
-   reports — coverage table, rows, JSON and localization diffs — on the
-   pinned seed.  This is the acceptance bar for snapshot seeding: only
-   the throughput may change. *)
+(* The snapshot layer under faults, as an oracle for the campaign: every
+   row of the pinned seed-1 campaign (233 cells), re-settled by forking
+   the scheme's trigger snapshot ([build_ladder]) instead of booting,
+   must reach the same verdict and detail; every silent-corruption row's
+   final memory must diff against the baseline to exactly the pages its
+   [corruption_diffs] entry reports. *)
 let test_snapshot_seeding_equivalence () =
-  let cfg = { small_config with Campaign.seed = 1L; count = 10 } in
-  let seeded = Campaign.run cfg in
-  let reset = Campaign.run { cfg with Campaign.from_reset = true } in
-  Alcotest.(check string) "rendered tables byte-identical" (Campaign.render reset)
-    (Campaign.render seeded);
-  Alcotest.(check string) "JSON byte-identical (incl. corruption diffs)"
-    (Campaign.to_json reset) (Campaign.to_json seeded);
-  Alcotest.(check string) "diff artifacts byte-identical"
-    (Campaign.render_diffs reset) (Campaign.render_diffs seeded)
+  let rp =
+    Campaign.run { small_config with Campaign.seed = 1L; count = 60; jobs = Some 2 }
+  in
+  let plan = Plan.build ~seed:1L ~count:60 in
+  let silent = ref 0 in
+  List.iter
+    (fun scheme ->
+      let name = Pass.scheme_name scheme in
+      let rows =
+        List.filter (fun (r : Campaign.row) -> r.Campaign.scheme = name) rp.Campaign.rows
+      in
+      let exe = Campaign.compile_victim scheme in
+      let baseline, baseline_mem = Campaign.baseline_run_full exe in
+      let budget =
+        Int64.add
+          (Int64.mul baseline.Kernel.instructions (Int64.of_int Campaign.budget_factor))
+          100_000L
+      in
+      let ladder =
+        Campaign.build_ladder
+          ~triggers:(List.map (fun (r : Campaign.row) -> r.Campaign.trigger) rows)
+          exe
+      in
+      List.iter
+        (fun (r : Campaign.row) ->
+          let inj = List.nth plan r.Campaign.index in
+          let machine, kernel, process =
+            Snapshot.fork (List.assoc r.Campaign.trigger ladder)
+          in
+          let applied =
+            if Process.status process = Process.Running then
+              Injector.apply ~machine ~process ~exe inj.Fault.kind
+            else None
+          in
+          let final =
+            Kernel.run ~limit:{ Kernel.max_instructions = budget } kernel process
+          in
+          let verdict, detail = Campaign.classify ~baseline final in
+          let detail =
+            match applied with
+            | Some a -> a.Injector.desc ^ "; " ^ detail
+            | None -> "not applied; " ^ detail
+          in
+          let cell = Printf.sprintf "#%d under %s" r.Campaign.index name in
+          Alcotest.(check string) (cell ^ ": verdict")
+            (Fault.verdict_name verdict)
+            (match Campaign.verdict_of_row r with
+            | Some v -> Fault.verdict_name v
+            | None -> "failed");
+          Alcotest.(check string) (cell ^ ": detail") detail r.Campaign.detail;
+          Alcotest.(check bool) (cell ^ ": applied") (applied <> None) r.Campaign.applied;
+          let reported = List.assoc_opt (r.Campaign.index, name) rp.corruption_diffs in
+          if verdict = Fault.Silent_corruption then begin
+            incr silent;
+            let diffs =
+              Phys_mem.diff_images baseline_mem (Phys_mem.snapshot (Machine.mem machine))
+            in
+            Alcotest.(check bool) (cell ^ ": page diff matches") true
+              (reported = Some diffs)
+          end
+          else Alcotest.(check bool) (cell ^ ": no page diff") true (reported = None))
+        rows)
+    rp.Campaign.schemes;
+  Alcotest.(check int) "233 cells re-settled" 233 (List.length rp.Campaign.rows);
+  Alcotest.(check bool) "silent-corruption rows exercised" true (!silent > 0);
+  Alcotest.(check int) "one diff per silent-corruption row" !silent
+    (List.length rp.Campaign.corruption_diffs)
 
-(* Checkpoint/resume under the snapshot fan-out is byte-identical at any
-   job count: kill mid-run, resume at -j1 and at -j4, same JSON. *)
+(* Checkpoint/resume is byte-identical at any job count: kill mid-run,
+   resume at -j1 and at -j4, same JSON. *)
 let test_resume_jobs_invariant () =
   let run jobs =
     let ck = Filename.temp_file "roload-chaos-j" ".tsv" in
@@ -201,7 +263,7 @@ let test_resume_jobs_invariant () =
     Sys.remove ck;
     Campaign.to_json resumed
   in
-  Alcotest.(check string) "resumed snapshot fan-out: -j1 equals -j4" (run 1) (run 4)
+  Alcotest.(check string) "resumed campaign: -j1 equals -j4" (run 1) (run 4)
 
 (* A campaign is deterministic in the job count. *)
 let test_jobs_invariant () =
